@@ -3,7 +3,16 @@
 The beta-set of such a partition is a subset of {1, ..., t-1} with no two
 consecutive members ("sparse subsets" below), which makes every statistic
 Fibonacci-flavored: the count is F_{t+1}, the total size is the triple
-Fibonacci convolution at t+1, and the largest size is floor(C(t+1,2)/3).
+Fibonacci convolution psi_{t+1}, and the largest size is floor(C(t+1,2)/3).
+
+The statistics take O(t) big-int steps. ``total_size`` evaluates psi_n at
+n = t+1 in closed form,
+
+    psi_n = ((5n^2 - 3n - 2) F_n - 6n F_{n-1}) / 50,
+
+from a single Fibonacci pass. The direct convolutions (O(n) and O(n^2)
+products) stay public as independent oracles: ``sequence_table`` rechecks
+its rows against them and ``verify`` compares all three routes.
 """
 
 from __future__ import annotations
@@ -24,10 +33,15 @@ def fibonacci(i: int) -> int:
     """F_0 = 0, F_1 = 1, F_i = F_{i-1} + F_{i-2}."""
     if i < 0:
         raise ValueError(f"index must be >= 0, got {i}")
-    a, b = 0, 1
-    for _ in range(i):
+    return _fib_pair(i)[1]
+
+
+def _fib_pair(n: int) -> tuple[int, int]:
+    """(F_{n-1}, F_n) from one iterative pass, with F_{-1} = 1."""
+    a, b = 1, 0
+    for _ in range(n):
         a, b = b, a + b
-    return a
+    return a, b
 
 
 def iter_nice_subsets(t: int) -> Iterator[tuple[int, ...]]:
@@ -71,7 +85,7 @@ def count_distinct_cores(t: int) -> int:
     """Closed form for ``len(distinct_core_partitions(t))``: F_{t+1}."""
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
-    return fibonacci(t + 1)
+    return _fib_pair(t + 1)[1]
 
 
 def largest_size(t: int) -> int:
@@ -131,16 +145,32 @@ def _fib_table(n: int) -> list[int]:
     return table
 
 
-def total_size(t: int) -> int:
-    """Sum of sizes over all distinct-part partitions avoiding hooks t, t+1."""
+def _total_and_count(t: int) -> tuple[int, int]:
+    """(psi_{t+1}, F_{t+1}) from one Fibonacci pair, psi in closed form."""
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
-    return fibonacci_triple_convolution(t + 1)
+    n = t + 1
+    f_prev, f = _fib_pair(n)
+    psi, rem = divmod((5 * n * n - 3 * n - 2) * f - 6 * n * f_prev, 50)
+    if rem:
+        raise ArithmeticError(f"closed form for psi_{n} left remainder {rem} mod 50")
+    return psi, f
+
+
+def total_size(t: int) -> int:
+    """Sum of sizes over all distinct-part partitions avoiding hooks t, t+1.
+
+    This is the triple Fibonacci convolution psi_{t+1}, evaluated in O(t)
+    as ((5n^2 - 3n - 2) F_n - 6n F_{n-1}) / 50 with n = t+1. The direct
+    O(t^2) sum, :func:`fibonacci_triple_convolution`, is kept as the oracle
+    that ``verify`` checks this against.
+    """
+    return _total_and_count(t)[0]
 
 
 def average_size(t: int) -> Fraction:
     """Average size as an exact reduced fraction (total over the F_{t+1} count)."""
-    return Fraction(total_size(t), count_distinct_cores(t))
+    return Fraction(*_total_and_count(t))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ class Partition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
         for part in self.parts:
-            if not isinstance(part, int) or part < 1:
+            if type(part) is not int or part < 1:  # bool is an int subclass; reject it
                 raise ValueError(f"parts must be positive integers, got {part!r}")
         for a, b in pairwise(self.parts):
             if a < b:

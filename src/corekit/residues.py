@@ -37,7 +37,7 @@ class ResidueVector:
                 f"{self.modulus}, got {len(self.counts)}"
             )
         for c in self.counts:
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:  # bool is an int subclass; reject it
                 raise ValueError(f"counts must be nonnegative integers, got {c!r}")
 
     @property

@@ -41,7 +41,7 @@ class CoefficientSeries:
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
         for value in self.coeffs:
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:  # bool is an int subclass; reject it
                 raise ValueError(f"coefficients must be counts, got {value!r}")
 
     @property

@@ -217,8 +217,8 @@ def check_eta_vector_roundtrip(t_max: int | None, n_max: int | None) -> CheckRep
                 return _fail("eta.vector_roundtrip", params, f"t={t}: bad size for {v!r}")
             if residues.residue_vector(p, t) != v:
                 return _fail("eta.vector_roundtrip", params, f"t={t}: roundtrip broke at {v!r}")
-        hook_count = len(_cores_by_hook_filter(t_hi, n_hi)[t]) if n_hi <= 40 else None
-        if hook_count is not None and seen != hook_count:
+        hook_count = len(_cores_by_hook_filter(t_hi, n_hi)[t])
+        if seen != hook_count:
             return _fail(
                 "eta.vector_roundtrip",
                 params,
@@ -348,12 +348,14 @@ def check_total_size(t_max: int | None, n_max: int | None) -> CheckReport:
     table = consecutive.sequence_table(t_hi)
     for t in range(2, t_hi + 1):
         observed = sum(p.size for p in consecutive.distinct_core_partitions(t))
-        if observed != consecutive.total_size(t) or observed != table.row(t).e:
+        closed = consecutive.total_size(t)
+        direct = consecutive.fibonacci_triple_convolution(t + 1)
+        if not observed == closed == table.row(t).e == direct:
             return _fail(
                 "tt1.total_size",
                 params,
-                f"t={t}: observed {observed}, convolution {consecutive.total_size(t)}, "
-                f"ladder {table.row(t).e}",
+                f"t={t}: observed {observed}, closed form {closed}, "
+                f"ladder {table.row(t).e}, direct {direct}",
             )
     anchors = (
         table.row(2).e == consecutive.fibonacci_triple_convolution(3) == 1

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -117,6 +118,27 @@ class TestStatsCommand:
 
     def test_rejects_t_one(self):
         expect_usage_error(["stats", "--t", "1"])
+
+    def test_cap_within_budget(self, capsys):
+        # the largest t the CLI accepts must answer in seconds, not minutes
+        t, budget_s = 10000, 5.0
+        started = time.perf_counter()
+        code, out, _ = run_ok(capsys, ["stats", "--t", str(t), "--format", "json"])
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert elapsed < budget_s, f"stats --t {t} took {elapsed:.2f} s"
+        # F, phi (double convolution) and psi (triple) from n = 1 up to t + 1:
+        # phi_n = phi_{n-1} + phi_{n-2} + F_{n-1}, psi_n = psi_{n-1} + psi_{n-2} + phi_{n-1}
+        f_prev, f = 0, 1
+        phi_prev, phi = 0, 0
+        psi_prev, psi = 0, 0
+        for _ in range(2, t + 2):
+            psi_prev, psi = psi, psi + psi_prev + phi
+            phi_prev, phi = phi, phi + phi_prev + f
+            f_prev, f = f, f + f_prev
+        payload = json.loads(out)
+        assert payload["count"] == f
+        assert payload["total_size"] == psi
 
 
 class TestTableCommand:

@@ -158,6 +158,19 @@ class TestSizeStatistics:
     def test_total_matches_enumeration(self, t):
         assert total_size(t) == sum(p.size for p in distinct_core_partitions(t))
 
+    def test_closed_form_matches_direct_convolution(self):
+        for t in range(2, 151):
+            assert total_size(t) == fibonacci_triple_convolution(t + 1), t
+
+    def test_closed_form_matches_ladder(self):
+        table = sequence_table(89)
+        for t in range(2, 89):
+            assert total_size(t) == table.row(t + 1).psi, t
+
+    def test_average_at_large_t(self):
+        for t in (1000, 5000):
+            assert average_size(t) == Fraction(total_size(t), fibonacci(t + 1))
+
 
 class TestSequenceTable:
     def test_anchor_rows(self):

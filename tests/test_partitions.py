@@ -57,6 +57,10 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((-1,))
 
+    def test_rejects_bool_parts(self):
+        with pytest.raises(ValueError):
+            Partition((True,))
+
     def test_accepts_list_input(self):
         assert Partition([4, 2]).parts == (4, 2)
 

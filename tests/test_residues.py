@@ -40,6 +40,10 @@ class TestResidueVectorType:
         with pytest.raises(ValueError):
             ResidueVector(3, (1, -1))
 
+    def test_rejects_bool_counts(self):
+        with pytest.raises(ValueError):
+            ResidueVector(3, (True, 0))
+
     def test_total(self):
         assert FIGURE_VECTOR.total == 5
 

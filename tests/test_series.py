@@ -39,6 +39,10 @@ class TestSeriesType:
         with pytest.raises(ValueError):
             CoefficientSeries((1, -1))
 
+    def test_rejects_bool_coefficients(self):
+        with pytest.raises(ValueError):
+            CoefficientSeries((True,))
+
     def test_json_dict(self):
         s = CoefficientSeries((1, 1, 1, 0, 1), t=3)
         assert s.to_json_dict() == {"t": 3, "limit": 4, "coeffs": [1, 1, 1, 0, 1]}
