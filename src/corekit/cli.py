@@ -87,7 +87,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=(*verify.SUITE_NAMES, "all"), default="all")
     p_verify.add_argument("--t-max", type=_ranged_int(2, T_MAX_CAP), default=None)
     p_verify.add_argument("--n-max", type=_ranged_int(0, N_MAX_CAP), default=None)
-    p_verify.add_argument("--jobs", type=_ranged_int(1, 256), default=None)
+    p_verify.add_argument(
+        "--jobs",
+        type=_ranged_int(1, 256),
+        default=None,
+        help="ignored: checks run one at a time (accepted for older scripts)",
+    )
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
 
     return parser
@@ -192,7 +197,6 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         args.suite,
         t_max=args.t_max,
         n_max=args.n_max,
-        jobs=args.jobs,
         progress=lambda name: print(f"running {name}", file=sys.stderr),
     )
     failed = [r for r in reports if not r.passed]

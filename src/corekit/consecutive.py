@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from .partitions import Partition, partition_of_beta
+from .partitions import Partition, partition_of_beta, size_lex_key
 
 NICE_SUBSET_CAP = 40
 TABLE_CAP = 90
@@ -77,7 +77,7 @@ def distinct_core_partitions(t: int) -> tuple[Partition, ...]:
     sorted by (size, descending-lex parts).
     """
     partitions = [partition_of_beta(bs) for bs in nice_subsets(t)]
-    partitions.sort(key=lambda p: (p.size, tuple(-part for part in p.parts)))
+    partitions.sort(key=size_lex_key)
     return tuple(partitions)
 
 

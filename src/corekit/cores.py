@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb, gcd
 from typing import Iterable, Iterator
 
-from .partitions import Partition, _column_heights, partition_of_beta
+from .partitions import Partition, _column_heights, partition_of_beta, size_lex_key
 
 PARTITION_ENUM_CAP = 120
 GAP_CELL_CAP = 50
@@ -23,7 +23,7 @@ def _check_forbidden(forbidden: Iterable[int]) -> frozenset[int]:
     if not avoided:
         raise ValueError("forbidden hook-length set must be nonempty")
     for t in avoided:
-        if not isinstance(t, int) or t < 1:
+        if type(t) is not int or t < 1:  # bool is an int subclass; reject it
             raise ValueError(f"forbidden hook lengths must be positive integers, got {t!r}")
     return avoided
 
@@ -94,7 +94,8 @@ def semigroup_gaps(t1: int, t2: int) -> tuple[int, ...]:
         if (v >= t1 and representable[v - t1]) or (v >= t2 and representable[v - t2]):
             representable[v] = 1
     gaps = tuple(v for v in range(1, bound + 1) if not representable[v])
-    assert len(gaps) == (t1 - 1) * (t2 - 1) // 2
+    if len(gaps) != (t1 - 1) * (t2 - 1) // 2:
+        raise ArithmeticError(f"({t1}, {t2}) sieve found {len(gaps)} gaps")
     return gaps
 
 
@@ -148,7 +149,7 @@ def enumerate_simultaneous_cores(
 
     walk(0)
     partitions = [partition_of_beta(bs) for bs in found]
-    partitions.sort(key=lambda p: (p.size, tuple(-part for part in p.parts)))
+    partitions.sort(key=size_lex_key)
     return partitions
 
 
@@ -156,7 +157,8 @@ def anderson_count(t1: int, t2: int) -> int:
     """Number of partitions avoiding hooks t1 and t2: C(t1+t2, t1)/(t1+t2), exact."""
     _check_coprime_pair(t1, t2)
     q, r = divmod(comb(t1 + t2, t1), t1 + t2)
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"C({t1 + t2}, {t1}) left remainder {r} mod {t1 + t2}")
     return q
 
 
@@ -164,5 +166,6 @@ def olsson_stanton_max(t1: int, t2: int) -> int:
     """Largest size among partitions avoiding hooks t1 and t2: (t1^2-1)(t2^2-1)/24."""
     _check_coprime_pair(t1, t2)
     q, r = divmod((t1 * t1 - 1) * (t2 * t2 - 1), 24)
-    assert r == 0
+    if r:
+        raise ArithmeticError(f"({t1}^2 - 1)({t2}^2 - 1) left remainder {r} mod 24")
     return q

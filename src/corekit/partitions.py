@@ -55,6 +55,11 @@ class Partition:
 EMPTY = Partition()
 
 
+def size_lex_key(p: Partition) -> tuple[int, tuple[int, ...]]:
+    """Sort key of the enumerators: by size, then parts in descending lex order."""
+    return (p.size, tuple(-part for part in p.parts))
+
+
 def _column_heights(p: Partition) -> tuple[int, ...]:
     """Number of boxes in each column of the diagram (index j-1 for column j)."""
     parts = p.parts
@@ -105,7 +110,7 @@ def check_beta(beta: Iterable[int]) -> frozenset[int]:
     """Validate a beta-set: distinct positive integers (zero is never a member)."""
     bs = frozenset(beta)
     for x in bs:
-        if not isinstance(x, int) or x < 1:
+        if type(x) is not int or x < 1:  # bool is an int subclass; reject it
             raise ValueError(f"beta-set elements must be positive integers, got {x!r}")
     return bs
 

@@ -1,18 +1,17 @@
 """Cross-verification suite: every structural claim as a named, timed check.
 
 Each check sweeps an exhaustive finite window and reports the first
-counterexample it meets. Checks are pure and independent, so the runner may
-execute them concurrently; output order is fixed by check name regardless.
+counterexample it meets. The runner executes checks one at a time in registry
+order, so each ``elapsed_ms`` is that check's own time; reports come back
+sorted by check name.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 from typing import Callable, Iterable
 
 from . import consecutive, cores, residues, series
@@ -153,8 +152,9 @@ def _coprime_pairs(cell_cap: int) -> Iterable[tuple[int, int]]:
 
 
 def check_pair_enumeration(t_max: int | None, n_max: int | None) -> CheckReport:
-    params = {"gap_cells_max": 20}
-    for t1, t2 in _coprime_pairs(20):
+    cells = 20
+    params = {"gap_cells_max": cells}
+    for t1, t2 in _coprime_pairs(cells):
         found = cores.enumerate_simultaneous_cores(t1, t2)
         if len(found) != cores.anderson_count(t1, t2):
             return _fail(
@@ -321,6 +321,13 @@ def check_extremes(t_max: int | None, n_max: int | None) -> CheckReport:
     params = {"t_max": t_hi}
     for t in range(2, t_hi + 1):
         population = consecutive.distinct_core_partitions(t)
+        if len(population) != consecutive.count_distinct_cores(t):
+            return _fail(
+                "tt1.extremes",
+                params,
+                f"t={t}: {len(population)} partitions vs F_{t + 1} = "
+                f"{consecutive.count_distinct_cores(t)}",
+            )
         top = max(p.size for p in population)
         if top != consecutive.largest_size(t):
             return _fail(
@@ -384,6 +391,8 @@ def check_ladder(t_max: int | None, n_max: int | None) -> CheckReport:
     for t in range(2, t_hi + 1):
         if table.row(t).e != psi[t + 1]:
             return _fail("tt1.ladder", params, f"t={t}: e_t != psi_(t+1)")
+        if table.row(t).phi != consecutive.fibonacci_convolution(t):
+            return _fail("tt1.ladder", params, f"t={t}: phi_t != direct convolution")
     return _pass("tt1.ladder", params)
 
 
@@ -474,41 +483,29 @@ def checks_for(suite: str) -> dict[str, CheckFn]:
     return SUITES[suite]
 
 
+def run_check(
+    name: str, fn: CheckFn, t_max: int | None = None, n_max: int | None = None
+) -> CheckReport:
+    """Run one check and time it; a crashed check is a failed check."""
+    started = time.perf_counter()
+    try:
+        report = fn(t_max, n_max)
+    except Exception as exc:
+        report = CheckReport(check=name, params={}, status="fail", detail=f"crashed: {exc!r}")
+    return replace(report, elapsed_ms=(time.perf_counter() - started) * 1000.0)
+
+
 def run_suite(
     suite: str,
     *,
     t_max: int | None = None,
     n_max: int | None = None,
-    jobs: int | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> list[CheckReport]:
-    """Run a suite's checks (concurrently up to ``jobs``) and sort reports by name."""
-    registry = checks_for(suite)
-    workers = jobs or os.cpu_count() or 1
-
-    def run_one(item: tuple[str, CheckFn]) -> CheckReport:
-        name, fn = item
+    """Run a suite's checks one at a time and sort the reports by name."""
+    reports = []
+    for name, fn in checks_for(suite).items():
         if progress is not None:
             progress(name)
-        started = time.perf_counter()
-        try:
-            report = fn(t_max, n_max)
-        except Exception as exc:  # a crashed check is a failed check
-            report = CheckReport(
-                check=name, params={}, status="fail", detail=f"crashed: {exc!r}"
-            )
-        elapsed = (time.perf_counter() - started) * 1000.0
-        return CheckReport(
-            check=report.check,
-            params=report.params,
-            status=report.status,
-            detail=report.detail,
-            elapsed_ms=elapsed,
-        )
-
-    if workers == 1:
-        reports = [run_one(item) for item in registry.items()]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, registry.items()))
+        reports.append(run_check(name, fn, t_max, n_max))
     return sorted(reports, key=lambda r: r.check)

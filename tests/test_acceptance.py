@@ -1,41 +1,24 @@
 """Acceptance gate: every criterion at its stated bound, one line per run.
 
+Criterion 1 reproduces the paper's figure directly. Criteria 2-8 run the
+named ``corekit verify`` checks that implement their sweeps, at the checks'
+default bounds, and require each report to pass with exactly the stated
+bounds in its params, so narrowing a check's default window fails the gate.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-pass lines; the full module targets well under a minute.
+pass lines with each check's bounds and time.
 """
 
 import time
-from functools import lru_cache
-from math import gcd
 
 from corekit import (
     Partition,
-    abacus_is_t_core,
-    anderson_count,
-    beta_distinct_criterion,
     beta_set,
     count_distinct_cores,
     distinct_core_partitions,
-    distinct_core_series,
-    distinct_core_series_brute,
-    distinct_core_series_closed,
-    enumerate_partitions,
-    enumerate_simultaneous_cores,
-    fibonacci,
-    fibonacci_convolution,
-    fibonacci_triple_convolution,
-    hook_length_set,
     hook_lengths,
     is_core,
-    largest_size,
-    maximizer_count,
-    maximizers,
-    olsson_stanton_max,
-    residue_vector,
-    core_of_vector,
-    sequence_table,
-    size_of_vector,
-    total_size,
+    verify,
 )
 
 
@@ -43,16 +26,14 @@ def _report(number, text):
     print(f"criterion {number}: PASS — {text}")
 
 
-@lru_cache(maxsize=2)
-def _cores_by_hook_scan(t_hi, n_hi):
-    by_t = {t: [] for t in range(2, t_hi + 1)}
-    for n in range(n_hi + 1):
-        for p in enumerate_partitions(n):
-            hooks = hook_length_set(p)
-            for t in range(2, t_hi + 1):
-                if t not in hooks:
-                    by_t[t].append(p)
-    return by_t
+def _run_checks(number, expected):
+    """Run each named check at its default bounds; ``expected`` maps name to params."""
+    registry = verify.checks_for("all")
+    for name, params in expected.items():
+        report = verify.run_check(name, registry[name])
+        assert report.passed, report.detail
+        assert report.params == params, (name, report.params)
+        _report(number, f"{name} {report.params} in {report.elapsed_ms:.0f} ms")
 
 
 def test_criterion_1_figure_reproduction():
@@ -71,117 +52,47 @@ def test_criterion_1_figure_reproduction():
 
 
 def test_criterion_2_encoding_roundtrip():
-    checked = 0
-    for t, t_cores in _cores_by_hook_scan(8, 30).items():
-        for p in t_cores:
-            v = residue_vector(p, t)
-            assert core_of_vector(v) == p
-            assert size_of_vector(v) == p.size
-            checked += 1
-    _report(2, f"encode/decode inverse and size formula on {checked} cores, t <= 8, size <= 30")
+    _run_checks(2, {"eta.roundtrip": {"t_max": 8, "n_max": 30}})
 
 
 def test_criterion_3_series_triple_agreement():
-    for t in range(2, 8):
-        assert (
-            distinct_core_series(t, 60).coeffs
-            == distinct_core_series_brute(t, 60).coeffs
-        ), f"search vs brute force diverged at t={t}"
-    for t in (2, 3, 4):
-        assert (
-            distinct_core_series(t, 200).coeffs
-            == distinct_core_series_closed(t, 200).coeffs
-        ), f"search vs closed form diverged at t={t}"
-    _report(3, "vector search == brute force (t<=7, N=60) == closed forms (t<=4, N=200)")
+    _run_checks(
+        3,
+        {
+            "genfun.dfs_vs_oracle": {"t_max": 7, "limit": 60},
+            "genfun.dfs_vs_closed": {"limit": 200},
+        },
+    )
 
 
 def test_criterion_4_fibonacci_count():
-    for t in range(2, 26):
-        assert len(distinct_core_partitions(t)) == fibonacci(t + 1)
-    for t in range(2, 10):
-        independent = enumerate_simultaneous_cores(t, t + 1, distinct_only=True)
-        assert list(independent) == list(distinct_core_partitions(t))
-    _report(4, "counts are F_(t+1) for t <= 25; gap-set enumerator agrees for t <= 9")
+    _run_checks(4, {"tt1.count_fibonacci": {"t_max": 30, "gap_check_t_max": 9}})
 
 
 def test_criterion_5_largest_size_and_maximizers():
-    for t in range(2, 26):
-        population = distinct_core_partitions(t)
-        top = max(p.size for p in population)
-        assert top == largest_size(t) == (t * (t + 1) // 2) // 3
-        attaining = [p for p in population if p.size == top]
-        assert len(attaining) == maximizer_count(t)
-        assert attaining == maximizers(t)
-    _report(5, "largest size, multiplicity, and explicit maximizers for t <= 25")
+    _run_checks(5, {"tt1.extremes": {"t_max": 25}})
 
 
 def test_criterion_6_total_and_ladder():
-    for t in range(2, 26):
-        observed = sum(p.size for p in distinct_core_partitions(t))
-        assert observed == total_size(t) == fibonacci_triple_convolution(t + 1)
-    table = sequence_table(60)
-    for t in range(4, 61):
-        step = (
-            fibonacci_triple_convolution(t + 1)
-            - fibonacci_triple_convolution(t)
-            - fibonacci_triple_convolution(t - 1)
-        )
-        expected = (t - 1) * fibonacci(t - 1) - table.row(t - 2).b
-        assert step == expected
-        assert expected == fibonacci_convolution(t)
-        assert fibonacci_convolution(t) == (
-            fibonacci_convolution(t - 1) + fibonacci_convolution(t - 2) + fibonacci(t - 1)
-        )
-    assert table.row(2).e == fibonacci_triple_convolution(3) == 1
-    assert table.row(3).e == fibonacci_triple_convolution(4) == 3
-    _report(6, "totals for t <= 25; step and convolution identities for t <= 60; anchors 1, 3")
+    _run_checks(6, {"tt1.total_size": {"t_max": 25}, "tt1.ladder": {"t_max": 60}})
 
 
 def test_criterion_7_background_cross_checks():
-    pairs = [
-        (t1, t2)
-        for t1 in range(2, 42)
-        for t2 in range(t1 + 1, 43)
-        if (t1 - 1) * (t2 - 1) <= 40 and gcd(t1, t2) == 1
-    ]
+    pairs = list(verify._coprime_pairs(20))
     assert (2, 3) in pairs and (5, 9) in pairs and (2, 41) in pairs
-    for t1, t2 in pairs:
-        found = enumerate_simultaneous_cores(t1, t2)
-        assert len(found) == anderson_count(t1, t2), (t1, t2)
-        assert max(p.size for p in found) == olsson_stanton_max(t1, t2), (t1, t2)
-    assert anderson_count(2, 3) == 2 and olsson_stanton_max(2, 3) == 1
-    assert anderson_count(3, 4) == 5 and olsson_stanton_max(3, 4) == 5
-    assert anderson_count(4, 5) == 14 and olsson_stanton_max(4, 5) == 15
-    _report(7, f"count and max-size formulas reproduced on {len(pairs)} coprime pairs")
+    _run_checks(7, {"kernel.pair_enumeration": {"gap_cells_max": 20}})
 
 
 def test_criterion_8_property_sweeps():
-    # distinct-parts criterion matches on every partition of size <= 40
-    for n in range(41):
-        for p in enumerate_partitions(n):
-            assert p.has_distinct_parts() == beta_distinct_criterion(beta_set(p))
-    # hook-based and beta-based core predicates agree, size <= 30, t <= 12
-    for n in range(31):
-        for p in enumerate_partitions(n):
-            hooks = hook_length_set(p)
-            bs = beta_set(p)
-            for t in range(1, 13):
-                assert (t not in hooks) == abacus_is_t_core(bs, t)
-    # beta-sets of consecutive-pair cores live in the non-representable band
-    for t in range(2, 11):
-        band = frozenset(
-            x for k in range(1, t) for x in range((k - 1) * (t + 1) + 1, k * t)
-        )
-        for p in enumerate_simultaneous_cores(t, t + 1):
-            assert beta_set(p) <= band
-    # with distinct parts they collapse into {1, ..., t-1}
-    for t in range(2, 13):
-        low = frozenset(range(1, t))
-        for p in enumerate_simultaneous_cores(
-            t, t + 1, distinct_only=True, max_gaps=t * (t - 1) // 2
-        ):
-            assert beta_set(p) <= low
-    _report(8, "distinct criterion, predicate equivalence, and both containments: no counterexamples")
+    _run_checks(
+        8,
+        {
+            "kernel.distinct_equivalence": {"n_max": 40},
+            "kernel.core_predicates": {"t_max": 12, "n_max": 30},
+            "kernel.pair_core_band": {"t_max": 10},
+            "kernel.distinct_pair_reach": {"t_max": 12},
+        },
+    )
 
 
 def test_criterion_bounds_count_empty_partition():

@@ -201,7 +201,7 @@ class TestVerifyCommand:
     def test_deterministic_modulo_elapsed(self, capsys):
         argv = ["verify", "--suite", "eta", "--t-max", "3", "--n-max", "8", "--format", "json"]
         _, first, _ = run_ok(capsys, argv)
-        _, second, _ = run_ok(capsys, argv)
+        _, second, _ = run_ok(capsys, argv + ["--jobs", "2"])  # --jobs is ignored
 
         def strip_elapsed(text):
             payload = json.loads(text)
@@ -222,6 +222,16 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL kernel.broken" in out
         assert "forced counterexample" in out
+
+    def test_crashing_check_exits_one(self, capsys, monkeypatch):
+        def crash(t_max, n_max):
+            raise RuntimeError("injected")
+
+        monkeypatch.setitem(verify.SUITES, "kernel", {"kernel.crash": crash})
+        code, out, _ = run_ok(capsys, ["verify", "--suite", "kernel"])
+        assert code == 1
+        assert "FAIL kernel.crash" in out
+        assert "crashed: RuntimeError('injected')" in out
 
     def test_t_max_cap(self):
         expect_usage_error(["verify", "--suite", "all", "--t-max", "10000"])

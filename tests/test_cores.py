@@ -63,6 +63,10 @@ class TestIsCore:
         with pytest.raises(ValueError):
             is_core(FIGURE_PARTITION, {0, 3})
 
+    def test_rejects_bool_forbidden_set(self):
+        with pytest.raises(ValueError):
+            is_core(Partition((2,)), {True})
+
 
 class TestAbacus:
     def test_figure_mod_8(self):

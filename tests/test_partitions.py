@@ -136,6 +136,10 @@ class TestSizeFromBeta:
         assert size_from_beta(frozenset()) == 0
         assert size_from_beta({3, 1}) == 4 - 1 == 3
 
+    def test_rejects_bool_elements(self):
+        with pytest.raises(ValueError):
+            size_from_beta([True])
+
     @given(partitions_st)
     def test_matches_partition_size(self, p):
         assert size_from_beta(beta_set(p)) == p.size
