@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("eq2", "closed", "oracle"),
         default="eq2",
-        help="eq2: pruned residue-vector search; closed: closed form (t=2,3,4); "
+        help="eq2: exact walk over residue vectors; closed: closed form (t=2,3,4); "
         "oracle: brute-force partition filter",
     )
     p_series.add_argument("--format", choices=("json", "text"), default="text")

@@ -11,8 +11,8 @@ n = t+1 in closed form,
     psi_n = ((5n^2 - 3n - 2) F_n - 6n F_{n-1}) / 50,
 
 from a single Fibonacci pass. The direct convolutions (O(n) and O(n^2)
-products) stay public as independent oracles: ``sequence_table`` rechecks
-its rows against them and ``verify`` compares all three routes.
+products) stay public as independent oracles: ``verify`` rechecks the
+table's rows against them and compares all three routes.
 """
 
 from __future__ import annotations
@@ -215,7 +215,7 @@ def _definitional_bcd(t: int) -> tuple[int, int, int]:
     return b, c, d
 
 
-def sequence_table(t_max: int, *, definitional_limit: int = 25) -> SequenceTable:
+def sequence_table(t_max: int) -> SequenceTable:
     """Rows t = 2..t_max of the statistics ladder, recurrence-filled.
 
     b, c, d satisfy
@@ -225,9 +225,9 @@ def sequence_table(t_max: int, *, definitional_limit: int = 25) -> SequenceTable
     (split each sparse subset of {1..t-1} on whether it contains t-1), and
     phi_t = phi_{t-1} + phi_{t-2} + F_{t-1}, psi_{t+1} = psi_t + psi_{t-1} + phi_t.
 
-    Every row with t <= definitional_limit is additionally recomputed from
-    scratch (subset sums and direct convolutions); a mismatch raises rather
-    than returning a silently wrong table.
+    The rows t = 2, 3 are seeded from subset sums and direct convolutions.
+    ``verify``'s tt1.table check recomputes the rows up to t = 25 the same
+    way.
     """
     if not 2 <= t_max <= TABLE_CAP:
         raise ValueError(f"t_max must be in [2, {TABLE_CAP}], got {t_max}")
@@ -263,14 +263,5 @@ def sequence_table(t_max: int, *, definitional_limit: int = 25) -> SequenceTable
             psi=psi[t],
             fib=fib[t],
         )
-        if t <= definitional_limit:
-            db, dc, dd = _definitional_bcd(t)
-            direct = (db, dc, dd, fibonacci_convolution(t), fibonacci_triple_convolution(t))
-            laddered = (row.b, row.c, row.d, row.phi, row.psi)
-            if direct != laddered:
-                raise ArithmeticError(
-                    f"recurrence/definitional mismatch at t = {t}: "
-                    f"{laddered} vs {direct}"
-                )
         rows.append(row)
     return SequenceTable(tuple(rows))

@@ -7,6 +7,11 @@ beta-set element). Recording the counts (n_1, ..., n_{t-1}) is therefore a
 bijective encoding of t-cores, and the partition size has the closed form
 implemented by :func:`size_of_vector`. Distinct-part t-cores correspond
 exactly to vectors whose support contains no two adjacent residues.
+
+One walk lists the vectors up to a size budget, for :func:`iter_core_vectors`
+and, restricted to separated support, for the eq2 series in
+:mod:`corekit.series`; :func:`size_of_vector` is the independent check of
+the sizes it tracks.
 """
 
 from __future__ import annotations
@@ -104,33 +109,53 @@ def is_residue_maximal(beta: Iterable[int], x: int, t: int) -> bool:
 
 
 def iter_core_vectors(t: int, max_size: int) -> Iterator[ResidueVector]:
-    """Every residue vector whose encoded partition has size <= ``max_size``.
-
-    Walks beta-set elements in ascending order. When a value v joins a set
-    that already has k elements, the encoded size grows by exactly v - k
-    (its part in the decoded partition), which is >= 1; that makes the
-    remaining budget an exact prune and keeps the walk proportional to the
-    number of vectors produced.
-    """
+    """Every residue vector whose encoded partition has size <= ``max_size``."""
     if t < 2:
         raise ValueError(f"modulus must be >= 2, got {t}")
     if max_size < 0:
         raise ValueError(f"max_size must be >= 0, got {max_size}")
+    for counts, _ in _walk_core_vectors(t, max_size, False):
+        yield ResidueVector(t, counts)
+
+
+def _walk_core_vectors(
+    t: int, max_size: int, distinct: bool
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """``(counts, size)`` for every t-core of size <= ``max_size``, only the
+    ones with distinct parts (separated support) when ``distinct``.
+
+    Beta-set elements are added in ascending order. A value v may join a set
+    of k elements iff v is not a multiple of t, v - t is present when v > t,
+    and, for distinct parts, v - 1 is absent. Adding v grows the size by
+    exactly v - k >= 1, its part in the decoded partition, so the budget test
+    is exact and every node is yielded. v - t present bounds v by the last
+    element plus t; k parts summing to >= k bounds it by ``max_size``. The
+    stack is explicit: at t = 2 the walk is sqrt(2 * max_size) deep.
+    """
     counts = [0] * (t - 1)
-    in_beta = bytearray(2 * max_size + t + 2)
-
-    def walk(value_lo: int, k: int, size: int) -> Iterator[ResidueVector]:
-        yield ResidueVector(t, tuple(counts))
-        v = value_lo
-        while v - k <= max_size - size:
-            # v is admissible as the next (ascending) element iff it is not a
-            # multiple of t and its predecessor v - t, when positive, is present
-            if v % t != 0 and (v < t or in_beta[v - t]):
-                in_beta[v] = 1
-                counts[v % t - 1] += 1
-                yield from walk(v + 1, k + 1, size + v - k)
-                in_beta[v] = 0
-                counts[v % t - 1] -= 1
+    in_beta = bytearray(max_size + 1)
+    path = [0]  # 0, then the beta-set in ascending order
+    size = 0
+    v = 1  # the next candidate to follow path[-1]
+    yield tuple(counts), size
+    while True:
+        k = len(path) - 1
+        hi = min(path[-1] + t, max_size - size + k)
+        while v <= hi and not (
+            v % t and (v < t or in_beta[v - t]) and not (distinct and in_beta[v - 1])
+        ):
             v += 1
-
-    yield from walk(1, 0, 0)
+        if v <= hi:
+            path.append(v)
+            in_beta[v] = 1
+            counts[v % t - 1] += 1
+            size += v - k
+            yield tuple(counts), size
+        elif k:
+            v = path.pop()
+            in_beta[v] = 0
+            counts[v % t - 1] -= 1
+            size -= v - k + 1
+        else:
+            return
+        v += 1

@@ -2,8 +2,9 @@
 
 Three routes are kept side by side on purpose:
 
-* :func:`distinct_core_series` walks residue vectors with separated support
-  (the faithful encoding of the objects being counted),
+* :func:`distinct_core_series` evaluates the eq2 sum: it walks the residue
+  vectors with separated support (the faithful encoding of the objects
+  being counted) and adds one at each vector's size,
 * :func:`distinct_core_series_closed` expands explicit exponent formulas
   that exist for t = 2, 3, 4,
 * :func:`distinct_core_series_brute` filters raw partitions by hook lengths.
@@ -19,7 +20,7 @@ from typing import Iterator
 
 from .cores import enumerate_partitions, is_core
 from .report import CheckReport
-from .residues import ResidueVector, size_of_vector
+from .residues import ResidueVector, _walk_core_vectors
 
 SERIES_LIMIT_CAP = 1_000_000
 BRUTE_FORCE_CAP = 80
@@ -64,53 +65,19 @@ def _check_args(t: int, limit: int) -> None:
 def iter_distinct_core_vectors(t: int, limit: int) -> Iterator[ResidueVector]:
     """Residue vectors with separated support whose encoded size is <= limit.
 
-    Pruning bounds (both independent of how a branch is completed):
-
-    * a beta-set of k distinct pairwise-nonconsecutive positives has element
-      sum >= k^2, so the encoded size is >= k(k+1)/2; hence
-      k <= (sqrt(8*limit+1) - 1)/2 =: k_cap.
-    * the largest part equals max(beta) - k + 1 <= limit, so every beta
-      element is <= limit + k_cap - 1; class i then allows at most
-      (limit + k_cap - 1 - i)/t + 1 entries.
-
-    A branch is abandoned once its element sum minus C(k_cap, 2) exceeds the
-    limit: completions only add elements, and the cross term can never win
-    back more than C(k_cap, 2).
+    These encode the distinct-part t-cores; they come from the same walk as
+    :func:`corekit.residues.iter_core_vectors`, restricted to distinct parts.
     """
     _check_args(t, limit)
-    k_cap = (isqrt(8 * limit + 1) - 1) // 2
-    slack = comb(k_cap, 2)
-    max_pos = min(t - 1, limit + k_cap - 1)
-    counts = [0] * (t - 1)
-
-    def walk(pos_lo: int, k: int, element_sum: int) -> Iterator[ResidueVector]:
-        if element_sum - comb(k, 2) <= limit:
-            yield ResidueVector(t, tuple(counts))
-        if k >= k_cap:
-            return
-        for pos in range(pos_lo, max_pos + 1):
-            if element_sum + pos - slack > limit:
-                break  # even a single entry here is over budget; later positions cost more
-            entry_cap = (limit + k_cap - 1 - pos) // t + 1
-            for n in range(1, min(entry_cap, k_cap - k) + 1):
-                added = pos * n + t * comb(n, 2)
-                if element_sum + added - slack > limit:
-                    break
-                counts[pos - 1] = n
-                yield from walk(pos + 2, k + n, element_sum + added)
-            counts[pos - 1] = 0
-
-    return walk(1, 0, 0)
+    return (ResidueVector(t, counts) for counts, _ in _walk_core_vectors(t, limit, True))
 
 
 def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
     """Count, per size, the distinct-part partitions avoiding hook t."""
     _check_args(t, limit)
     coeffs = [0] * (limit + 1)
-    for vector in iter_distinct_core_vectors(t, limit):
-        size = size_of_vector(vector)
-        if size <= limit:
-            coeffs[size] += 1
+    for _, size in _walk_core_vectors(t, limit, True):
+        coeffs[size] += 1
     return CoefficientSeries(tuple(coeffs), t=t)
 
 

@@ -418,6 +418,20 @@ def check_table(t_max: int | None, n_max: int | None) -> CheckReport:
         table = consecutive.sequence_table(t_hi)
     except ArithmeticError as exc:
         return _fail("tt1.table", params, str(exc))
+    for t in range(2, params["definitional_t_max"] + 1):
+        row = table.row(t)
+        direct = (
+            *consecutive._definitional_bcd(t),
+            consecutive.fibonacci_convolution(t),
+            consecutive.fibonacci_triple_convolution(t),
+        )
+        laddered = (row.b, row.c, row.d, row.phi, row.psi)
+        if direct != laddered:
+            return _fail(
+                "tt1.table",
+                params,
+                f"recurrence/definitional mismatch at t = {t}: {laddered} vs {direct}",
+            )
     for row in table.rows:
         if row.a != consecutive.fibonacci(row.t + 1):
             return _fail("tt1.table", params, f"t={row.t}: a != F_(t+1)")

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from corekit import cli, verify
+from corekit import cli, series, verify
 from corekit.report import CheckReport
 
 
@@ -61,6 +61,23 @@ class TestSeriesCommand:
 
     def test_rejects_t_below_two(self):
         expect_usage_error(["series", "--t", "1", "--limit", "5"])
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_cap_within_budget(self, capsys, t):
+        # the largest limit the CLI accepts must answer in seconds at small t.
+        # At t = 2 the walk goes about sqrt(2 * limit) elements deep, past
+        # Python's default recursion limit. Large t is not bounded by this:
+        # series --t 20 --limit 500 walks 1.8e8 vectors (ROADMAP item 2).
+        limit, budget_s = series.SERIES_LIMIT_CAP, 5.0
+        started = time.perf_counter()
+        code, out, _ = run_ok(
+            capsys, ["series", "--t", str(t), "--limit", str(limit), "--format", "json"]
+        )
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert elapsed < budget_s, f"series --t {t} --limit {limit} took {elapsed:.2f} s"
+        closed = series.distinct_core_series_closed(t, limit)
+        assert json.loads(out)["coeffs"] == list(closed.coeffs)
 
 
 class TestEnumerateCommand:

@@ -15,6 +15,7 @@ from corekit import (
     separated_support,
     size_of_vector,
 )
+from corekit.residues import _walk_core_vectors
 
 FIGURE_PARTITION = Partition((5, 3, 3, 2, 1))
 FIGURE_VECTOR = ResidueVector(8, (2, 0, 1, 0, 1, 1, 0))
@@ -146,3 +147,39 @@ class TestIterCoreVectors:
     def test_vectors_roundtrip(self, t, bound):
         for v in iter_core_vectors(t, bound):
             assert residue_vector(core_of_vector(v), t) == v
+
+
+class TestWalkCoreVectors:
+    """The shared walk against the independent size formula and support test.
+
+    ``distinct_core_series`` counts the walk's running sizes without
+    recomputing them, so they are checked here against ``size_of_vector``.
+    """
+
+    TOP = 25
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    @pytest.mark.parametrize("t", range(2, 12))
+    def test_running_sizes_match_formula(self, t, distinct):
+        for max_size in range(self.TOP + 1):
+            seen = set()
+            for counts, size in _walk_core_vectors(t, max_size, distinct):
+                v = ResidueVector(t, counts)
+                assert size == size_of_vector(v) <= max_size, (v, size)
+                assert v not in seen, v
+                seen.add(v)
+                assert separated_support(v) or not distinct, v
+
+    @pytest.mark.parametrize("t", range(2, 12))
+    def test_distinct_is_separated_subset(self, t):
+        for max_size in range(self.TOP + 1):
+            full = {counts for counts, _ in _walk_core_vectors(t, max_size, False)}
+            distinct = {counts for counts, _ in _walk_core_vectors(t, max_size, True)}
+            assert distinct == {c for c in full if separated_support(ResidueVector(t, c))}
+
+    @pytest.mark.parametrize("t", range(2, 12))
+    def test_budget_prune_is_exact(self, t):
+        top = dict(_walk_core_vectors(t, self.TOP, False))
+        for max_size in range(self.TOP):
+            walked = dict(_walk_core_vectors(t, max_size, False))
+            assert walked == {c: n for c, n in top.items() if n <= max_size}
