@@ -1,0 +1,87 @@
+"""Time both eq2 routes on a t x L grid and show which one the dispatch picks.
+
+    PYTHONPATH=src python3 bench/eq2_crossover.py > grid.json
+
+For every grid point it prints the walk's and the DP's measured seconds
+(best of up to three runs; null where the route's estimate exceeds
+``MAX_S``), both estimates from ``series.eq2_costs``, the route the
+dispatch picks and the route that measured faster. The summary gives the
+per-unit times the cost model's constants were fitted to: the median
+walk seconds per node of the walk's node bound over t <= 8 (where the
+choice is close) and the median DP seconds per big-int word-operation
+over points with at least 10**6 of them. The grid is chosen independently
+of the benchmark's inputs.
+"""
+
+from __future__ import annotations
+
+import json
+import platform
+import statistics
+import sys
+import time
+
+from corekit import series
+
+T_VALUES = range(2, 21)
+L_VALUES = (16, 40, 100, 250, 600, 1500, 4000, 10000)
+MAX_S = 1.0  # a route estimated slower than this is not timed
+
+
+def best_of(route, t: int, limit: int) -> float:
+    times = []
+    for _ in range(3):
+        started = time.perf_counter()
+        route(t, limit)
+        times.append(time.perf_counter() - started)
+        if times[-1] > 0.2:
+            break
+    return min(times)
+
+
+def main() -> None:
+    points = []
+    for t in T_VALUES:
+        for limit in L_VALUES:
+            est = series.eq2_costs(t, limit)
+            k_max, top, caps, nodes = series._residue_bounds(t, limit)
+            state_words = (k_max + 1) * (2 * top + 1) * series._slot_bytes(nodes) / 8
+            point = {
+                "t": t,
+                "limit": limit,
+                "walk_node_bound": nodes,
+                "dp_word_ops": sum(2 * c + 2 for c in caps) * state_words,
+                "est_walk_s": est["walk"],
+                "est_dp_s": est["dp"],
+                "picked": min(est, key=est.get),
+            }
+            for name, route in series.EQ2_ROUTES.items():
+                point[f"{name}_s"] = best_of(route, t, limit) if est[name] <= MAX_S else None
+            if point["walk_s"] is not None and point["dp_s"] is not None:
+                point["faster"] = "walk" if point["walk_s"] <= point["dp_s"] else "dp"
+            print(f"t={t} L={limit} {point}", file=sys.stderr)
+            points.append(point)
+    walk_per_node = [
+        p["walk_s"] / p["walk_node_bound"] for p in points if p["walk_s"] and p["t"] <= 8
+    ]
+    dp_per_word = [
+        p["dp_s"] / p["dp_word_ops"] for p in points if p["dp_s"] and p["dp_word_ops"] >= 1e6
+    ]
+    both = [p for p in points if "faster" in p]
+    wrong = [p for p in both if p["picked"] != p["faster"]]
+    summary = {
+        "machine": f"{platform.machine()}, Python {platform.python_version()}",
+        "median_walk_s_per_bound_node_t_le_8": statistics.median(walk_per_node),
+        "median_dp_s_per_word_op": statistics.median(dp_per_word),
+        "points_timed_on_both": len(both),
+        "picked_the_faster": len(both) - len(wrong),
+        "slowdown_when_wrong": max(
+            (max(p["walk_s"], p["dp_s"]) / min(p["walk_s"], p["dp_s"]) for p in wrong), default=1.0
+        ),
+        "points": points,
+    }
+    print(json.dumps(summary, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -16,6 +16,10 @@ from .partitions import Partition, beta_set
 
 T_MAX_CAP = 64
 N_MAX_CAP = 240
+# series: --t bounds the cost of estimating a request; the estimate, on the
+# cheaper eq2 route, must fit the budget.
+SERIES_T_CAP = 10_000
+SERIES_BUDGET_S = 5.0
 
 
 def _dumps(payload: dict) -> str:
@@ -58,14 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_series = sub.add_parser("series", help="coefficients counting distinct-part t-cores by size")
-    p_series.add_argument("--t", type=_ranged_int(2), required=True)
+    p_series.add_argument("--t", type=_ranged_int(2, SERIES_T_CAP), required=True)
     p_series.add_argument("--limit", type=_ranged_int(0), required=True)
     p_series.add_argument(
         "--method",
         choices=("eq2", "closed", "oracle"),
         default="eq2",
-        help="eq2: exact walk over residue vectors; closed: closed form (t=2,3,4); "
-        "oracle: brute-force partition filter",
+        help="eq2: exact residue-vector walk or residue DP, whichever is estimated "
+        "cheaper; closed: closed form (t=2,3,4); oracle: brute-force partition filter",
     )
     p_series.add_argument("--format", choices=("json", "text"), default="text")
 
@@ -101,6 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         if args.method == "eq2":
+            cost_s = min(series.eq2_costs(args.t, args.limit).values())
+            if cost_s > SERIES_BUDGET_S:
+                raise ValueError(
+                    f"eq2 at t={args.t}, limit={args.limit} is estimated at {cost_s:.3g} s, "
+                    f"over the {SERIES_BUDGET_S:g} s budget"
+                )
             result = series.distinct_core_series(args.t, args.limit)
         elif args.method == "closed":
             result = series.distinct_core_series_closed(args.t, args.limit)

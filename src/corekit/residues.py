@@ -9,9 +9,10 @@ implemented by :func:`size_of_vector`. Distinct-part t-cores correspond
 exactly to vectors whose support contains no two adjacent residues.
 
 One walk lists the vectors up to a size budget, for :func:`iter_core_vectors`
-and, restricted to separated support, for the eq2 series in
-:mod:`corekit.series`; :func:`size_of_vector` is the independent check of
-the sizes it tracks.
+and, restricted to separated support, for the walk route of the eq2 series
+in :mod:`corekit.series`, whose DP route sums the same vectors without
+listing them (it wins where there are many); :func:`size_of_vector` is the
+independent check of the sizes the walk tracks.
 """
 
 from __future__ import annotations

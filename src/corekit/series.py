@@ -2,20 +2,26 @@
 
 Three routes are kept side by side on purpose:
 
-* :func:`distinct_core_series` evaluates the eq2 sum: it walks the residue
+* :func:`distinct_core_series` evaluates the eq2 sum over the residue
   vectors with separated support (the faithful encoding of the objects
-  being counted) and adds one at each vector's size,
+  being counted). It has two exact routes and picks the one
+  :func:`eq2_costs` estimates cheaper from (t, limit) alone:
+  :func:`distinct_core_series_walk` lists the vectors and adds one at each
+  vector's size, and :func:`distinct_core_series_dp` sums them by dynamic
+  programming over residues, without listing them. The walk wins when
+  there are few vectors (small t, any limit); the DP when there are many.
 * :func:`distinct_core_series_closed` expands explicit exponent formulas
   that exist for t = 2, 3, 4,
 * :func:`distinct_core_series_brute` filters raw partitions by hook lengths.
 
-Agreement of all three is one of the acceptance gates.
+Agreement of all three, and of both eq2 routes, is one of the acceptance
+gates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, inf, isqrt
 from typing import Iterator
 
 from .cores import enumerate_partitions, is_core
@@ -24,6 +30,16 @@ from .residues import ResidueVector, _walk_core_vectors
 
 SERIES_LIMIT_CAP = 1_000_000
 BRUTE_FORCE_CAP = 80
+# Largest packed DP state, in bytes; past it the DP refuses and the walk
+# serves, however slowly, instead of exhausting memory.
+DP_STATE_BYTES_CAP = 1 << 25
+
+# The eq2 cost model: round values near the medians measured by
+# bench/eq2_crossover.py on a t x L grid chosen apart from the benchmark's
+# inputs (t = 2..20, L = 16..10000; 2-vCPU x86-64, Python 3.11; BENCH_5.json).
+WALK_NODE_S = 1.0e-6  # per node of the walk's node bound (median over t <= 8)
+DP_WORD_S = 2.0e-9  # per 64-bit word of state a big-int shift, add or mask reads
+DP_OP_S = 1.0e-6  # per big-int operation, on top of its words
 
 
 @dataclass(frozen=True)
@@ -73,12 +89,117 @@ def iter_distinct_core_vectors(t: int, limit: int) -> Iterator[ResidueVector]:
 
 
 def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
-    """Count, per size, the distinct-part partitions avoiding hook t."""
+    """Count, per size, the distinct-part partitions avoiding hook t.
+
+    Runs whichever eq2 route :func:`eq2_costs` estimates cheaper; both are
+    exact.
+    """
+    costs = eq2_costs(t, limit)
+    return EQ2_ROUTES[min(costs, key=costs.get)](t, limit)
+
+
+def distinct_core_series_walk(t: int, limit: int) -> CoefficientSeries:
+    """The eq2 sum term by term: one vector of the walk per counted partition."""
     _check_args(t, limit)
     coeffs = [0] * (limit + 1)
     for _, size in _walk_core_vectors(t, limit, True):
         coeffs[size] += 1
     return CoefficientSeries(tuple(coeffs), t=t)
+
+
+def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
+    """The eq2 sum by dynamic programming over residues, without its terms.
+
+    The size of a vector is A - C(K, 2), with A = sum(i*n_i + t*C(n_i, 2))
+    and K = sum(n_i). Positions i = 1..t-1 are taken in turn; the state is
+    (K so far, whether the last entry is nonzero), and each state holds the
+    polynomial in A of its partial vectors, truncated at ``top`` (see
+    :func:`_residue_bounds`). A only grows, so the truncation is exact. The
+    polynomials of all K with one flag are packed into one int, K-major, in
+    fixed slots wide enough for any count (Kronecker substitution), so
+    setting n_i = n is one shift of that int by n blocks plus
+    i*n + t*C(n, 2) slots. A block holds 2 * top + 1 slots, so a shifted
+    slot <= top never leaves its block, and one mask per position drops
+    every A > top and every K > k_max.
+    """
+    _check_args(t, limit)
+    k_max, top, caps, nodes = _residue_bounds(t, limit)
+    width = _slot_bytes(nodes)
+    block = 2 * top + 1
+    if (k_max + 1) * block * width > DP_STATE_BYTES_CAP:
+        raise ValueError(
+            f"residue DP state for t={t}, limit={limit} exceeds {DP_STATE_BYTES_CAP} bytes"
+        )
+    bits = 8 * width
+    keep = b"\xff" * ((top + 1) * width) + bytes(top * width)
+    mask = int.from_bytes(keep * (k_max + 1), "little")
+    zero, nonzero = 1, 0  # last entry zero (or no entry yet) / nonzero
+    for i, cap in enumerate(caps, start=1):
+        grown = 0
+        for n in range(1, cap + 1):
+            grown += zero << (n * block + i * n + t * comb(n, 2)) * bits
+        zero, nonzero = zero + nonzero, grown & mask
+    # size = A - C(K, 2): block K, read from slot C(K, 2) on, adds to sizes 0..limit
+    raw = (zero + nonzero).to_bytes((k_max + 1) * block * width, "little")
+    span = (limit + 1) * width
+    packed = 0
+    for k in range(k_max + 1):
+        start = (k * block + comb(k, 2)) * width
+        packed += int.from_bytes(raw[start : start + span], "little")
+    raw = packed.to_bytes(span, "little")
+    coeffs = tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, span, width))
+    return CoefficientSeries(coeffs, t=t)
+
+
+EQ2_ROUTES = {"walk": distinct_core_series_walk, "dp": distinct_core_series_dp}
+
+
+def eq2_costs(t: int, limit: int) -> dict[str, float]:
+    """Estimated seconds of each eq2 route, from (t, limit) alone.
+
+    The walk visits at most one node per separated tuple within the caps of
+    :func:`_residue_bounds`. Per position, the DP shifts and adds once per
+    allowed nonzero entry, then masks and adds once, each on an int of its
+    whole state. The DP's estimate is infinite where it would refuse.
+    """
+    _check_args(t, limit)
+    k_max, top, caps, nodes = _residue_bounds(t, limit)
+    state_bytes = (k_max + 1) * (2 * top + 1) * _slot_bytes(nodes)
+    if state_bytes > DP_STATE_BYTES_CAP:
+        dp_s = inf
+    else:
+        dp_s = sum(2 * cap + 2 for cap in caps) * (DP_OP_S + DP_WORD_S * state_bytes / 8)
+    walk_s = WALK_NODE_S * nodes if nodes < 1 << 1000 else inf  # float() overflows near 2**1024
+    return {"walk": walk_s, "dp": dp_s}
+
+
+def _residue_bounds(t: int, limit: int) -> tuple[int, int, list[int], int]:
+    """``(k_max, top, caps, nodes)`` bounding the vectors of size <= ``limit``.
+
+    A partition with K distinct parts has size >= K(K+1)/2, so K <= k_max.
+    Its A = size + C(K, 2) is then at most top = limit + C(k_max, 2), and
+    n_i is at most caps[i - 1], the largest n <= k_max with
+    i*n + t*C(n, 2) <= top. Positions i > top can only hold 0 and are left
+    out, so ``caps`` has min(t - 1, top) entries. ``nodes`` counts the
+    tuples within the caps with no two adjacent entries nonzero: it bounds
+    the vectors the walk visits, and every count the DP holds in one slot.
+    """
+    k_max = (isqrt(8 * limit + 1) - 1) // 2
+    top = limit + comb(k_max, 2)
+    caps = []
+    n = k_max
+    zero, nonzero = 1, 0  # separated tuples so far whose last entry is zero / nonzero
+    for i in range(1, min(t - 1, top) + 1):
+        while i * n + t * comb(n, 2) > top:
+            n -= 1
+        caps.append(n)
+        zero, nonzero = zero + nonzero, zero * n
+    return k_max, top, caps, zero + nonzero
+
+
+def _slot_bytes(nodes: int) -> int:
+    """Whole bytes that hold any count up to ``nodes``."""
+    return -(-nodes.bit_length() // 8)
 
 
 def distinct_core_series_closed(t: int, limit: int) -> CoefficientSeries:

@@ -228,7 +228,7 @@ def check_eta_vector_roundtrip(t_max: int | None, n_max: int | None) -> CheckRep
 
 
 # ---------------------------------------------------------------------------
-# genfun: the three series routes
+# genfun: the series routes (both eq2 routes against the brute force and closed forms)
 
 
 def check_dfs_vs_oracle(t_max: int | None, n_max: int | None) -> CheckReport:
@@ -236,12 +236,9 @@ def check_dfs_vs_oracle(t_max: int | None, n_max: int | None) -> CheckReport:
     n_hi = _bound(n_max, 60, 0, series.BRUTE_FORCE_CAP)
     params = {"t_max": t_hi, "limit": n_hi}
     for t in range(2, t_hi + 1):
-        outcome = series.compare_series(
-            series.distinct_core_series(t, n_hi),
-            series.distinct_core_series_brute(t, n_hi),
-        )
-        if not outcome.passed:
-            return _fail("genfun.dfs_vs_oracle", params, f"t={t}: {outcome.detail}")
+        detail = _eq2_routes_differ(series.distinct_core_series_brute(t, n_hi))
+        if detail:
+            return _fail("genfun.dfs_vs_oracle", params, detail)
     return _pass("genfun.dfs_vs_oracle", params)
 
 
@@ -249,13 +246,20 @@ def check_dfs_vs_closed(t_max: int | None, n_max: int | None) -> CheckReport:
     n_hi = _bound(n_max, 200, 0, 2000)
     params = {"limit": n_hi}
     for t in (2, 3, 4):
-        outcome = series.compare_series(
-            series.distinct_core_series(t, n_hi),
-            series.distinct_core_series_closed(t, n_hi),
-        )
-        if not outcome.passed:
-            return _fail("genfun.dfs_vs_closed", params, f"t={t}: {outcome.detail}")
+        detail = _eq2_routes_differ(series.distinct_core_series_closed(t, n_hi))
+        if detail:
+            return _fail("genfun.dfs_vs_closed", params, detail)
     return _pass("genfun.dfs_vs_closed", params)
+
+
+def _eq2_routes_differ(expected: series.CoefficientSeries) -> str | None:
+    """Compare each eq2 route, called directly, with ``expected``; the
+    first divergence names its route."""
+    for name, route in series.EQ2_ROUTES.items():
+        outcome = series.compare_series(route(expected.t, expected.limit), expected)
+        if not outcome.passed:
+            return f"t={expected.t}, {name} route: {outcome.detail}"
+    return None
 
 
 def check_coefficient_bounds(t_max: int | None, n_max: int | None) -> CheckReport:

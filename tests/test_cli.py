@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from corekit import cli, series, verify
+from corekit import cli, enumerate_partitions, series, verify
 from corekit.report import CheckReport
 
 
@@ -64,10 +64,9 @@ class TestSeriesCommand:
 
     @pytest.mark.parametrize("t", [2, 3])
     def test_cap_within_budget(self, capsys, t):
-        # the largest limit the CLI accepts must answer in seconds at small t.
-        # At t = 2 the walk goes about sqrt(2 * limit) elements deep, past
-        # Python's default recursion limit. Large t is not bounded by this:
-        # series --t 20 --limit 500 walks 1.8e8 vectors (ROADMAP item 2).
+        # the largest limit the CLI accepts must answer in seconds at small t,
+        # where eq2 runs the walk. At t = 2 the walk goes about
+        # sqrt(2 * limit) elements deep, past Python's default recursion limit.
         limit, budget_s = series.SERIES_LIMIT_CAP, 5.0
         started = time.perf_counter()
         code, out, _ = run_ok(
@@ -78,6 +77,37 @@ class TestSeriesCommand:
         assert elapsed < budget_s, f"series --t {t} --limit {limit} took {elapsed:.2f} s"
         closed = series.distinct_core_series_closed(t, limit)
         assert json.loads(out)["coeffs"] == list(closed.coeffs)
+
+
+    @pytest.mark.parametrize("t", [20, 40])
+    def test_large_t_within_budget(self, capsys, t):
+        # eq2 runs the residue DP here; listing the vectors would take hours
+        # (1.8e8 of them at t = 20)
+        limit, budget_s = 500, 5.0
+        started = time.perf_counter()
+        code, out, _ = run_ok(
+            capsys, ["series", "--t", str(t), "--limit", str(limit), "--format", "json"]
+        )
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert elapsed < budget_s, f"series --t {t} --limit {limit} took {elapsed:.2f} s"
+        coeffs = json.loads(out)["coeffs"]
+        assert len(coeffs) == limit + 1
+        # every distinct-part partition of n < t avoids hook t
+        distinct = [sum(1 for _ in enumerate_partitions(n, distinct_only=True)) for n in range(t)]
+        assert coeffs[:t] == distinct
+        # the brute-force oracle costs about 10 s per t at its cap of 80, so
+        # it checks n <= 50 and the walk, independent of the DP, n <= 80
+        assert coeffs[:51] == list(series.distinct_core_series_brute(t, 50).coeffs)
+        assert coeffs[:81] == list(series.distinct_core_series_walk(t, 80).coeffs)
+
+    def test_rejects_t_over_cap(self):
+        expect_usage_error(["series", "--t", str(cli.SERIES_T_CAP + 1), "--limit", "1"])
+
+    def test_rejects_estimate_over_budget(self, capsys):
+        # 2.5e11 walk nodes; the DP state would need gigabytes
+        expect_usage_error(["series", "--t", "8", "--limit", "1000000"])
+        assert "budget" in capsys.readouterr().err
 
 
 class TestEnumerateCommand:

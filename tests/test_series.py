@@ -1,7 +1,10 @@
+from math import inf
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corekit import series
 from corekit import (
     CoefficientSeries,
     compare_series,
@@ -77,6 +80,47 @@ class TestVectorSearch:
     def test_visited_vectors_unique(self):
         seen = list(iter_distinct_core_vectors(5, 25))
         assert len(seen) == len(set(seen))
+
+
+class TestEq2Routes:
+    @pytest.mark.parametrize("t", range(2, 17))
+    def test_dp_equals_walk(self, t):
+        for limit in sorted({0, 1, t - 1, t, 2 * t, 60}):
+            dp = series.distinct_core_series_dp(t, limit)
+            assert dp == series.distinct_core_series_walk(t, limit), f"t={t} limit={limit}"
+
+    @given(st.integers(2, 14), st.integers(0, 120))
+    @settings(max_examples=25, deadline=None)
+    def test_dp_equals_walk_sampled(self, t, limit):
+        dp = series.distinct_core_series_dp(t, limit)
+        assert dp == series.distinct_core_series_walk(t, limit)
+
+    @pytest.mark.parametrize(
+        ("t", "limit", "picked"),
+        [(3, 2000, "walk"), (5, 3000, "walk"), (12, 80, "dp"), (10, 150, "dp")],
+    )
+    def test_dispatch_equals_both_routes(self, t, limit, picked):
+        # points far from the crossover, where the estimates differ 30x or more
+        costs = series.eq2_costs(t, limit)
+        assert min(costs, key=costs.get) == picked
+        dispatched = distinct_core_series(t, limit)
+        assert dispatched == series.distinct_core_series_walk(t, limit)
+        assert dispatched == series.distinct_core_series_dp(t, limit)
+
+    @pytest.mark.parametrize(
+        ("t", "limit", "multibyte"), [(6, 1400, False), (16, 80, True), (30, 60, True)]
+    )
+    def test_wide_slots_match_walk(self, t, limit, multibyte):
+        # t = 6 packs 53 K-blocks of 2 * 2726 + 1 slots; at t = 16 and 30
+        # coefficients need more than one byte of their slot
+        dp = series.distinct_core_series_dp(t, limit)
+        assert dp == series.distinct_core_series_walk(t, limit)
+        assert (max(dp.coeffs) > 255) == multibyte
+
+    def test_dp_refuses_oversized_state(self):
+        with pytest.raises(ValueError):
+            series.distinct_core_series_dp(2, series.SERIES_LIMIT_CAP)
+        assert series.eq2_costs(2, series.SERIES_LIMIT_CAP)["dp"] == inf
 
 
 class TestClosedForms:
