@@ -5,6 +5,10 @@ they can cross-check each other: :func:`is_core` walks hook lengths box by
 box, while :func:`abacus_is_t_core` works purely on the beta-set. The
 enumerators below are the ground-truth oracles used by the verification
 suite.
+
+:func:`_walk_cores`, one walk over the beta-sets closed under subtracting
+one or two moduli, lists the (t1, t2)-cores here and the t-cores behind
+:mod:`corekit.residues` and the eq2 walk of :mod:`corekit.series`.
 """
 
 from __future__ import annotations
@@ -108,49 +112,78 @@ def enumerate_simultaneous_cores(
 ) -> list[Partition]:
     """The complete list of partitions avoiding hook lengths t1 and t2.
 
-    A beta-set avoids both hooks exactly when it lives inside the
-    non-representable gap set of the numerical semigroup <t1, t2> and is
-    closed under subtracting t1 and t2. The search walks gap values in
-    ascending order, checking those closure conditions (and, when
-    ``distinct_only``, the no-consecutive-elements criterion) as each value
-    is admitted, so dead branches are cut immediately.
+    A beta-set avoids both hooks exactly when it is closed under subtracting
+    t1 and t2, which keeps it inside the (t1 - 1)(t2 - 1)/2 gaps of the
+    semigroup <t1, t2>; a pair with more than ``max_gaps`` gaps is refused
+    before any work. :func:`_walk_cores` visits one node per core, testing
+    at most min(t1, t2) candidates per node, so the cost grows with the
+    number of cores, not gaps times cores. Its size budget,
+    :func:`olsson_stanton_max`, cuts no (t1, t2)-core.
 
     Sorted by (size, descending-lex parts).
     """
-    gaps = semigroup_gaps(t1, t2)
-    if len(gaps) > max_gaps:
-        raise ValueError(
-            f"gap set for ({t1}, {t2}) has {len(gaps)} cells; cap is {max_gaps}"
-        )
-
-    chosen = bytearray((gaps[-1] + 2) if gaps else 2)
-    current: list[int] = []
-    found: list[frozenset[int]] = []
-
-    def walk(i: int) -> None:
-        if i == len(gaps):
-            found.append(frozenset(current))
-            return
-        walk(i + 1)
-        x = gaps[i]
-        # x - t1 and x - t2, when positive, are themselves gap values already
-        # decided at this depth; x == t1 or t2 cannot occur inside the gap set
-        if x > t1 and not chosen[x - t1]:
-            return
-        if x > t2 and not chosen[x - t2]:
-            return
-        if distinct_only and chosen[x - 1]:
-            return
-        chosen[x] = 1
-        current.append(x)
-        walk(i + 1)
-        chosen[x] = 0
-        current.pop()
-
-    walk(0)
-    partitions = [partition_of_beta(bs) for bs in found]
+    _check_coprime_pair(t1, t2)
+    cells = (t1 - 1) * (t2 - 1) // 2
+    if cells > max_gaps:
+        raise ValueError(f"gap set for ({t1}, {t2}) has {cells} cells; cap is {max_gaps}")
+    walk = _walk_cores(t1, olsson_stanton_max(t1, t2), distinct_only, t2)
+    partitions = [partition_of_beta(beta) for beta, _, _ in walk]
     partitions.sort(key=size_lex_key)
     return partitions
+
+
+def _walk_cores(
+    t: int, max_size: int, distinct: bool, t2: int | None = None
+) -> Iterator[tuple[list[int], list[int], int]]:
+    """``(beta, counts, size)`` for every t-core of size <= ``max_size``, or
+    every (t, t2)-core when ``t2`` is given; only the ones with distinct
+    parts when ``distinct``.
+
+    ``beta`` is the beta-set in ascending order and ``counts[i - 1]`` the
+    number of its elements congruent to i modulo the smaller modulus, the
+    residue vector of a t-core. Both lists are the walk's own and change at
+    the next step, so a caller that keeps one copies it.
+
+    Elements are added in ascending order. A value v may join iff v is not a
+    modulus, v - m is present for every modulus m < v, and, for distinct
+    parts, v - 1 is absent. Adding v to a set of k elements grows the size
+    by exactly v - k >= 1, its part in the decoded partition, so the budget
+    test is exact and every node is yielded. v - min(moduli) present bounds
+    v by the last element plus min(moduli); k parts summing to >= k bound
+    it by ``max_size``. The stack is explicit: at t = 2 the walk is
+    sqrt(2 * max_size) deep.
+    """
+    low, high = (t, t) if t2 is None else sorted((t, t2))
+    # present[high + x] is 1 iff x is in the beta-set; the prefix reads every
+    # x < 0 as present and x = 0 as absent, so each closure test is one index
+    present = bytearray(b"\x01" * high) + bytearray(max_size + 1)
+    to_low, to_prev = high - low, high - 1  # v - high is at index v
+    beta: list[int] = []
+    counts = [0] * (low - 1)  # no element is a multiple of low: 0 is absent
+    size = 0
+    v = 1  # the next candidate to follow beta[-1]
+    yield beta, counts, size
+    while True:
+        k = len(beta)
+        hi = min((beta[-1] if k else 0) + low, max_size - size + k)
+        while v <= hi and not (
+            present[v] and present[v + to_low] and not (distinct and present[v + to_prev])
+        ):
+            v += 1
+        if v <= hi:
+            beta.append(v)
+            present[v + high] = 1
+            counts[v % low - 1] += 1
+            size += v - k
+            yield beta, counts, size
+        elif k:
+            v = beta.pop()
+            present[v + high] = 0
+            counts[v % low - 1] -= 1
+            size -= v - k + 1
+        else:
+            return
+        v += 1
 
 
 def anderson_count(t1: int, t2: int) -> int:

@@ -8,11 +8,13 @@ bijective encoding of t-cores, and the partition size has the closed form
 implemented by :func:`size_of_vector`. Distinct-part t-cores correspond
 exactly to vectors whose support contains no two adjacent residues.
 
-One walk lists the vectors up to a size budget, for :func:`iter_core_vectors`
-and, restricted to separated support, for the walk route of the eq2 series
-in :mod:`corekit.series`, whose DP route sums the same vectors without
-listing them (it wins where there are many); :func:`size_of_vector` is the
-independent check of the sizes the walk tracks.
+:func:`iter_core_vectors` lists the vectors up to a size budget with the
+beta-set walk of :mod:`corekit.cores`, the one that also enumerates
+(t1, t2)-cores; restricted to separated support, the same walk is the walk
+route of the eq2 series in :mod:`corekit.series`, whose DP route sums the
+vectors without listing them (it wins where there are many).
+:func:`size_of_vector` is the independent check of the sizes the walk
+tracks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import pairwise
 from math import comb
 from typing import Iterable, Iterator
 
-from .cores import abacus_is_t_core
+from .cores import _walk_cores, abacus_is_t_core
 from .partitions import Partition, beta_set, check_beta, partition_of_beta
 
 
@@ -115,48 +117,5 @@ def iter_core_vectors(t: int, max_size: int) -> Iterator[ResidueVector]:
         raise ValueError(f"modulus must be >= 2, got {t}")
     if max_size < 0:
         raise ValueError(f"max_size must be >= 0, got {max_size}")
-    for counts, _ in _walk_core_vectors(t, max_size, False):
+    for _, counts, _ in _walk_cores(t, max_size, False):
         yield ResidueVector(t, counts)
-
-
-def _walk_core_vectors(
-    t: int, max_size: int, distinct: bool
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """``(counts, size)`` for every t-core of size <= ``max_size``, only the
-    ones with distinct parts (separated support) when ``distinct``.
-
-    Beta-set elements are added in ascending order. A value v may join a set
-    of k elements iff v is not a multiple of t, v - t is present when v > t,
-    and, for distinct parts, v - 1 is absent. Adding v grows the size by
-    exactly v - k >= 1, its part in the decoded partition, so the budget test
-    is exact and every node is yielded. v - t present bounds v by the last
-    element plus t; k parts summing to >= k bounds it by ``max_size``. The
-    stack is explicit: at t = 2 the walk is sqrt(2 * max_size) deep.
-    """
-    counts = [0] * (t - 1)
-    in_beta = bytearray(max_size + 1)
-    path = [0]  # 0, then the beta-set in ascending order
-    size = 0
-    v = 1  # the next candidate to follow path[-1]
-    yield tuple(counts), size
-    while True:
-        k = len(path) - 1
-        hi = min(path[-1] + t, max_size - size + k)
-        while v <= hi and not (
-            v % t and (v < t or in_beta[v - t]) and not (distinct and in_beta[v - 1])
-        ):
-            v += 1
-        if v <= hi:
-            path.append(v)
-            in_beta[v] = 1
-            counts[v % t - 1] += 1
-            size += v - k
-            yield tuple(counts), size
-        elif k:
-            v = path.pop()
-            in_beta[v] = 0
-            counts[v % t - 1] -= 1
-            size -= v - k + 1
-        else:
-            return
-        v += 1

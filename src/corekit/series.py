@@ -6,10 +6,12 @@ Three routes are kept side by side on purpose:
   vectors with separated support (the faithful encoding of the objects
   being counted). It has two exact routes and picks the one
   :func:`eq2_costs` estimates cheaper from (t, limit) alone:
-  :func:`distinct_core_series_walk` lists the vectors and adds one at each
-  vector's size, and :func:`distinct_core_series_dp` sums them by dynamic
-  programming over residues, without listing them. The walk wins when
-  there are few vectors (small t, any limit); the DP when there are many.
+  :func:`distinct_core_series_walk` runs the beta-set walk of
+  :mod:`corekit.cores` (which also enumerates (t1, t2)-cores) and adds one
+  at each node's size; :func:`distinct_core_series_dp` sums the vectors by
+  dynamic programming over residues, without listing them. The walk wins
+  when there are few vectors (small t, any limit); the DP when there are
+  many.
 * :func:`distinct_core_series_closed` expands explicit exponent formulas
   that exist for t = 2, 3, 4,
 * :func:`distinct_core_series_brute` filters raw partitions by hook lengths.
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 from math import comb, inf, isqrt
 from typing import Iterator
 
-from .cores import enumerate_partitions, is_core
+from .cores import _walk_cores, enumerate_partitions, is_core
 from .report import CheckReport
-from .residues import ResidueVector, _walk_core_vectors
+from .residues import ResidueVector
 
 SERIES_LIMIT_CAP = 1_000_000
 BRUTE_FORCE_CAP = 80
@@ -85,7 +87,7 @@ def iter_distinct_core_vectors(t: int, limit: int) -> Iterator[ResidueVector]:
     :func:`corekit.residues.iter_core_vectors`, restricted to distinct parts.
     """
     _check_args(t, limit)
-    return (ResidueVector(t, counts) for counts, _ in _walk_core_vectors(t, limit, True))
+    return (ResidueVector(t, counts) for _, counts, _ in _walk_cores(t, limit, True))
 
 
 def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
@@ -99,10 +101,10 @@ def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
 
 
 def distinct_core_series_walk(t: int, limit: int) -> CoefficientSeries:
-    """The eq2 sum term by term: one vector of the walk per counted partition."""
+    """The eq2 sum term by term: one node of the walk per counted partition."""
     _check_args(t, limit)
     coeffs = [0] * (limit + 1)
-    for _, size in _walk_core_vectors(t, limit, True):
+    for _, _, size in _walk_cores(t, limit, True):
         coeffs[size] += 1
     return CoefficientSeries(tuple(coeffs), t=t)
 

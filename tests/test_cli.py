@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from corekit import cli, enumerate_partitions, series, verify
+from corekit import cli, cores, enumerate_partitions, series, verify
 from corekit.report import CheckReport
 
 
@@ -136,6 +136,29 @@ class TestEnumerateCommand:
 
     def test_rejects_oversized_gap_set(self):
         expect_usage_error(["enumerate", "--t1", "12", "--t2", "13"])
+
+    def test_rejects_huge_pair_at_once(self, capsys):
+        # refused on the gap count alone, before any sieve or allocation
+        started = time.perf_counter()
+        expect_usage_error(["enumerate", "--t1", "20000", "--t2", "20001"])
+        assert time.perf_counter() - started < 1.0
+        assert "cells; cap is 50" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pair", [(9, 13), (8, 15), (2, 101)])
+    def test_cap_within_budget(self, capsys, pair):
+        # the largest pairs with at most 50 gap cells must answer in seconds
+        t1, t2 = pair
+        budget_s = 5.0
+        started = time.perf_counter()
+        code, out, _ = run_ok(
+            capsys, ["enumerate", "--t1", str(t1), "--t2", str(t2), "--format", "json"]
+        )
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert elapsed < budget_s, f"enumerate ({t1}, {t2}) took {elapsed:.2f} s"
+        payload = json.loads(out)
+        assert payload["count"] == len(payload["partitions"]) == cores.anderson_count(t1, t2)
+        assert max(p["size"] for p in payload["partitions"]) == cores.olsson_stanton_max(t1, t2)
 
 
 class TestStatsCommand:

@@ -166,6 +166,40 @@ class TestSimultaneousCores:
         found = enumerate_simultaneous_cores(12, 13, distinct_only=True, max_gaps=66)
         assert len(found) == 233  # F_13
 
+    @pytest.mark.parametrize("pair", [(3, 2), (5, 3), (7, 4), (9, 2), (7, 5)])
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_pair_order_is_irrelevant(self, pair, distinct):
+        t1, t2 = pair
+        assert enumerate_simultaneous_cores(t1, t2, distinct) == enumerate_simultaneous_cores(
+            t2, t1, distinct
+        )
+
+    @pytest.mark.parametrize("t", [2, 3, 7, 40])
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_modulus_one_leaves_only_empty(self, t, distinct):
+        assert enumerate_simultaneous_cores(1, t, distinct) == [EMPTY]
+        assert enumerate_simultaneous_cores(t, 1, distinct) == [EMPTY]
+
+    # distinct-part (s, t)-core counts for s = 2..8, the regression data for
+    # the (s, ds +- 1) generalisations of the (t, t+1) results
+    @pytest.mark.parametrize(
+        "second,counts",
+        [
+            (lambda s: 2 * s - 1, [2, 4, 8, 16, 32, 64, 128]),
+            (lambda s: 2 * s + 1, [3, 5, 11, 21, 43, 85, 171]),
+            (lambda s: 3 * s - 1, [3, 6, 15, 33, 78, 177, 411]),
+            (lambda s: 3 * s + 1, [4, 7, 19, 40, 97, 217, 508]),
+        ],
+        ids=["2s-1", "2s+1", "3s-1", "3s+1"],
+    )
+    def test_distinct_counts_past_the_gap_cap(self, second, counts):
+        found = []
+        for s in range(2, 9):
+            t = second(s)
+            cells = (s - 1) * (t - 1) // 2
+            found.append(len(enumerate_simultaneous_cores(s, t, True, max_gaps=cells)))
+        assert found == counts
+
 
 class TestCountFormulas:
     @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from corekit import (
     separated_support,
     size_of_vector,
 )
-from corekit.residues import _walk_core_vectors
+from corekit.cores import _walk_cores
 
 FIGURE_PARTITION = Partition((5, 3, 3, 2, 1))
 FIGURE_VECTOR = ResidueVector(8, (2, 0, 1, 0, 1, 1, 0))
@@ -147,6 +147,12 @@ class TestIterCoreVectors:
     def test_vectors_roundtrip(self, t, bound):
         for v in iter_core_vectors(t, bound):
             assert residue_vector(core_of_vector(v), t) == v
+
+
+def _walk_core_vectors(t, max_size, distinct):
+    """``(counts, size)`` at every node of the shared walk under modulus t."""
+    for _, counts, size in _walk_cores(t, max_size, distinct):
+        yield tuple(counts), size
 
 
 class TestWalkCoreVectors:
