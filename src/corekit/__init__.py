@@ -30,7 +30,6 @@ from .cores import (
     enumerate_simultaneous_cores,
     is_core,
     olsson_stanton_max,
-    semigroup_gaps,
 )
 from .partitions import (
     EMPTY,
@@ -47,7 +46,6 @@ from .residues import (
     ResidueVector,
     beta_of_vector,
     core_of_vector,
-    is_residue_maximal,
     iter_core_vectors,
     residue_vector,
     separated_support,
@@ -94,7 +92,6 @@ __all__ = [
     "hook_length_set",
     "hook_lengths",
     "is_core",
-    "is_residue_maximal",
     "iter_core_vectors",
     "iter_distinct_core_vectors",
     "largest_size",
@@ -105,7 +102,6 @@ __all__ = [
     "partition_of_beta",
     "residue_vector",
     "run_suite",
-    "semigroup_gaps",
     "separated_support",
     "sequence_table",
     "size_from_beta",

@@ -51,17 +51,15 @@ def abacus_is_t_core(beta: Iterable[int], t: int) -> bool:
     return all(x - t in bs for x in bs if x >= t)
 
 
-def enumerate_partitions(
-    n: int, distinct_only: bool = False, *, cap: int = PARTITION_ENUM_CAP
-) -> Iterator[Partition]:
+def enumerate_partitions(n: int, distinct_only: bool = False) -> Iterator[Partition]:
     """Yield every partition of n (optionally only those with distinct parts).
 
     Single-pass stream in descending lexicographic order of part sequences.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
-    if n > cap:
-        raise ValueError(f"partition enumeration capped at n = {cap}, got {n}")
+    if n > PARTITION_ENUM_CAP:
+        raise ValueError(f"partition enumeration capped at n = {PARTITION_ENUM_CAP}, got {n}")
 
     def walk(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -84,23 +82,6 @@ def _check_coprime_pair(t1: int, t2: int) -> None:
         raise ValueError(f"need positive integers, got ({t1}, {t2})")
     if t1 == t2 or gcd(t1, t2) != 1:
         raise ValueError(f"({t1}, {t2}) is not a coprime pair")
-
-
-def semigroup_gaps(t1: int, t2: int) -> tuple[int, ...]:
-    """Positive integers not representable as a*t1 + b*t2 with a, b >= 0, ascending."""
-    _check_coprime_pair(t1, t2)
-    # sieving stops at t1*t2: everything past the Frobenius number
-    # t1*t2 - t1 - t2 is representable, so the window is complete
-    bound = t1 * t2
-    representable = bytearray(bound + 1)
-    representable[0] = 1
-    for v in range(1, bound + 1):
-        if (v >= t1 and representable[v - t1]) or (v >= t2 and representable[v - t2]):
-            representable[v] = 1
-    gaps = tuple(v for v in range(1, bound + 1) if not representable[v])
-    if len(gaps) != (t1 - 1) * (t2 - 1) // 2:
-        raise ArithmeticError(f"({t1}, {t2}) sieve found {len(gaps)} gaps")
-    return gaps
 
 
 def enumerate_simultaneous_cores(

@@ -25,13 +25,11 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def to_json_dict(self, *, include_elapsed: bool = True) -> dict:
-        payload: dict[str, object] = {
+    def to_json_dict(self) -> dict:
+        return {
             "check": self.check,
             "params": dict(self.params),
             "status": self.status,
             "detail": self.detail,
+            "elapsed_ms": round(self.elapsed_ms, 3),
         }
-        if include_elapsed:
-            payload["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return payload

@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import pairwise
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .cores import _walk_cores, abacus_is_t_core
-from .partitions import Partition, beta_set, check_beta, partition_of_beta
+from .partitions import Partition, beta_set, partition_of_beta
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,6 @@ def separated_support(v: ResidueVector) -> bool:
     These are precisely the vectors that encode cores with distinct parts.
     """
     return all(a == 0 or b == 0 for a, b in pairwise(v.counts))
-
-
-def is_residue_maximal(beta: Iterable[int], x: int, t: int) -> bool:
-    """True iff ``x`` is the largest beta-set element in its chain mod ``t``."""
-    bs = check_beta(beta)
-    if x not in bs:
-        raise ValueError(f"{x} is not in the beta-set")
-    return x + t not in bs
 
 
 def iter_core_vectors(t: int, max_size: int) -> Iterator[ResidueVector]:

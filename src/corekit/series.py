@@ -248,13 +248,11 @@ def _naturals(start: int = 0) -> Iterator[int]:
         n += 1
 
 
-def distinct_core_series_brute(
-    t: int, limit: int, *, cap: int = BRUTE_FORCE_CAP
-) -> CoefficientSeries:
+def distinct_core_series_brute(t: int, limit: int) -> CoefficientSeries:
     """Ground truth by direct filtering of partitions, hook length by hook length."""
     _check_args(t, limit)
-    if limit > cap:
-        raise ValueError(f"brute-force series capped at limit {cap}, got {limit}")
+    if limit > BRUTE_FORCE_CAP:
+        raise ValueError(f"brute-force series capped at limit {BRUTE_FORCE_CAP}, got {limit}")
     forbidden = frozenset({t})
     coeffs = tuple(
         sum(1 for p in enumerate_partitions(n, distinct_only=True) if is_core(p, forbidden))

@@ -6,7 +6,6 @@ import time
 import pytest
 
 from corekit import cli, cores, enumerate_partitions, series, verify
-from corekit.report import CheckReport
 
 
 def run_ok(capsys, argv):
@@ -282,26 +281,33 @@ class TestVerifyCommand:
         assert strip_elapsed(first) == strip_elapsed(second)
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
-        def broken(t_max, n_max):
-            return CheckReport(
-                check="kernel.broken", status="fail", detail="forced counterexample"
-            )
+        def broken():
+            return "forced counterexample"
 
-        monkeypatch.setitem(verify.SUITES, "kernel", {"kernel.broken": broken})
+        monkeypatch.setitem(verify.SUITES, "kernel", {"kernel.broken": verify.Check(broken, {})})
         code, out, _ = run_ok(capsys, ["verify", "--suite", "kernel"])
         assert code == 1
         assert "FAIL kernel.broken" in out
         assert "forced counterexample" in out
 
     def test_crashing_check_exits_one(self, capsys, monkeypatch):
-        def crash(t_max, n_max):
+        def crash():
             raise RuntimeError("injected")
 
-        monkeypatch.setitem(verify.SUITES, "kernel", {"kernel.crash": crash})
+        monkeypatch.setitem(verify.SUITES, "kernel", {"kernel.crash": verify.Check(crash, {})})
         code, out, _ = run_ok(capsys, ["verify", "--suite", "kernel"])
         assert code == 1
         assert "FAIL kernel.crash" in out
         assert "crashed: RuntimeError('injected')" in out
+
+    def test_floor_bounds_pass(self, capsys):
+        argv = ["verify", "--suite", "all", "--t-max", "2", "--n-max", "0", "--format", "json"]
+        code, out, _ = run_ok(capsys, argv)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["summary"] == {"total": 20, "passed": 20, "failed": 0}
+        total_size = next(c for c in payload["checks"] if c["check"] == "tt1.total_size")
+        assert total_size["params"] == {"t_max": 2}
 
     def test_t_max_cap(self):
         expect_usage_error(["verify", "--suite", "all", "--t-max", "10000"])

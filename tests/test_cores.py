@@ -12,7 +12,6 @@ from corekit import (
     enumerate_simultaneous_cores,
     is_core,
     olsson_stanton_max,
-    semigroup_gaps,
 )
 
 FIGURE_PARTITION = Partition((5, 3, 3, 2, 1))
@@ -116,23 +115,6 @@ class TestEnumeratePartitions:
     @settings(max_examples=20)
     def test_counts_match_oracle(self, n):
         assert sum(1 for _ in enumerate_partitions(n)) == count_partitions_oracle(n)
-
-
-class TestSemigroupGaps:
-    def test_small_pairs(self):
-        assert semigroup_gaps(2, 3) == (1,)
-        assert semigroup_gaps(3, 4) == (1, 2, 5)
-        assert semigroup_gaps(4, 5) == (1, 2, 3, 6, 7, 11)
-
-    @given(st.sampled_from([(2, 3), (2, 5), (3, 4), (3, 5), (4, 5), (5, 6), (4, 7)]))
-    def test_matches_representability_oracle(self, pair):
-        t1, t2 = pair
-        gaps = semigroup_gaps(t1, t2)
-        reachable = {
-            a * t1 + b * t2 for a in range(t2 + 1) for b in range(t1 + 1)
-        }
-        for v in range(1, t1 * t2 + 1):
-            assert (v not in reachable) == (v in gaps)
 
 
 class TestSimultaneousCores:

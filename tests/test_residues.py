@@ -9,7 +9,6 @@ from corekit import (
     beta_of_vector,
     core_of_vector,
     is_core,
-    is_residue_maximal,
     iter_core_vectors,
     residue_vector,
     separated_support,
@@ -109,18 +108,6 @@ class TestSeparatedSupport:
     @given(vectors())
     def test_matches_distinct_parts(self, v):
         assert separated_support(v) == core_of_vector(v).has_distinct_parts()
-
-
-class TestResidueMaximal:
-    def test_examples(self):
-        beta = frozenset({9, 6, 5, 3, 1})
-        assert is_residue_maximal(beta, 9, 8)  # 17 is absent
-        assert not is_residue_maximal(beta, 1, 8)  # 9 is present
-        assert is_residue_maximal({4}, 4, 3)
-
-    def test_rejects_absent_element(self):
-        with pytest.raises(ValueError):
-            is_residue_maximal({9, 6}, 5, 8)
 
 
 class TestIterCoreVectors:
