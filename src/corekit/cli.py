@@ -1,7 +1,8 @@
 """Command-line surface: series, enumerate, stats, table, verify.
 
-Exit codes: 0 on success, 1 when a verification check fails, 2 on usage
-errors. Data goes to stdout; progress chatter goes to stderr. JSON payloads
+Exit codes: 0 on success, 1 when a verification check fails or the reader
+closes stdout early (``corekit enumerate ... | head``), 2 on usage errors.
+Data goes to stdout; progress chatter goes to stderr. JSON payloads
 use a fixed field order so byte-identical round trips are possible.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import consecutive, cores, series, verify
@@ -245,7 +247,16 @@ def main(argv: list[str] | None = None) -> int:
         "table": _cmd_table,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args, parser)
+    try:
+        code = handlers[args.command](args, parser)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # stdout's buffer still holds unwritten data; point the descriptor at
+        # devnull so the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

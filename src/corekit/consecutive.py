@@ -62,6 +62,21 @@ def iter_nice_subsets(t: int) -> Iterator[tuple[int, ...]]:
     return walk(1)
 
 
+def _count_nice_subsets(t: int) -> int:
+    """``len(nice_subsets(t))`` by an iterative walk that builds no subsets.
+
+    Each node is a sparse subset, held only as the least value its next
+    member may take; a node holding lo has one child for each member
+    x = lo..t-1, holding x + 2.
+    """
+    walked, pending = 0, [1]
+    while pending:
+        lo = pending.pop()
+        walked += 1
+        pending.extend(range(lo + 2, t + 2))
+    return walked
+
+
 def nice_subsets(t: int) -> list[tuple[int, ...]]:
     """Materialized :func:`iter_nice_subsets`; capped since growth is Fibonacci."""
     if t > NICE_SUBSET_CAP:

@@ -9,14 +9,26 @@ suite.
 :func:`_walk_cores`, one walk over the beta-sets closed under subtracting
 one or two moduli, lists the (t1, t2)-cores here and the t-cores behind
 :mod:`corekit.residues` and the eq2 walk of :mod:`corekit.series`.
+
+The walk's output is trusted, because a partition it decodes is valid by
+construction. :func:`enumerate_simultaneous_cores` reads each part straight
+off the ascending beta-set and builds its Partitions through
+``partitions._trusted_partition``, which skips validation, and ``verify``'s
+pair-core checks test the walk's beta-sets with no Partition at all. The
+public ``Partition(...)`` and ``partition_of_beta`` keep validating. In
+every cross-check at most one side takes the trusted path: the other side
+of ``tt1.count_fibonacci``'s enumerator comparison,
+``consecutive.distinct_core_partitions``, builds through
+``partition_of_beta``.
 """
 
 from __future__ import annotations
 
 from math import comb, gcd
+from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .partitions import Partition, _column_heights, partition_of_beta, size_lex_key
+from .partitions import Partition, _column_heights, _trusted_partition
 
 PARTITION_ENUM_CAP = 120
 GAP_CELL_CAP = 50
@@ -107,10 +119,14 @@ def enumerate_simultaneous_cores(
     cells = (t1 - 1) * (t2 - 1) // 2
     if cells > max_gaps:
         raise ValueError(f"gap set for ({t1}, {t2}) has {cells} cells; cap is {max_gaps}")
-    walk = _walk_cores(t1, olsson_stanton_max(t1, t2), distinct_only, t2)
-    partitions = [partition_of_beta(beta) for beta, _, _ in walk]
-    partitions.sort(key=size_lex_key)
-    return partitions
+    # beta ascending as b_0 < ... < b_{k-1}: part j is b_j - j, smallest first
+    found = [
+        (tuple([b - j for j, b in enumerate(beta)][::-1]), size)
+        for beta, _, size in _walk_cores(t1, olsson_stanton_max(t1, t2), distinct_only, t2)
+    ]
+    found.sort(reverse=True)  # descending-lex parts; no two cores share them
+    found.sort(key=itemgetter(1))  # stable, so each size keeps that order
+    return [_trusted_partition(parts) for parts, _ in found]
 
 
 def _walk_cores(

@@ -55,6 +55,15 @@ class Partition:
 EMPTY = Partition()
 
 
+def _trusted_partition(parts: tuple[int, ...]) -> Partition:
+    """A Partition built without validation, for generators whose parts are
+    positive, weakly decreasing ``int``s by construction. Everything from
+    outside goes through ``Partition(...)``, which validates."""
+    p = object.__new__(Partition)
+    object.__setattr__(p, "parts", parts)
+    return p
+
+
 def size_lex_key(p: Partition) -> tuple[int, tuple[int, ...]]:
     """Sort key of the enumerators: by size, then parts in descending lex order."""
     return (p.size, tuple(-part for part in p.parts))

@@ -101,22 +101,28 @@ def check_pair_core_band(t_max: int) -> str | None:
         band = frozenset(
             x for k in range(1, t) for x in range((k - 1) * (t + 1) + 1, k * t)
         )
-        for p in cores.enumerate_simultaneous_cores(t, t + 1):
-            stray = beta_set(p) - band
-            if stray:
-                return f"t={t}: {p!r} has beta element {min(stray)} outside the band"
+        walked = 0
+        for beta, _, _ in cores._walk_cores(t, cores.olsson_stanton_max(t, t + 1), False, t + 1):
+            walked += 1
+            if not band.issuperset(beta):
+                p, stray = partition_of_beta(beta), min(set(beta) - band)
+                return f"t={t}: {p!r} has beta element {stray} outside the band"
+        if walked != cores.anderson_count(t, t + 1):
+            return f"t={t}: walked {walked} cores, formula {cores.anderson_count(t, t + 1)}"
     return None
 
 
 def check_distinct_pair_reach(t_max: int) -> str | None:
     for t in range(2, t_max + 1):
-        low = frozenset(range(1, t))
-        for p in cores.enumerate_simultaneous_cores(
-            t, t + 1, distinct_only=True, max_gaps=t * (t - 1) // 2
-        ):
-            stray = beta_set(p) - low
-            if stray:
-                return f"t={t}: {p!r} has beta element {min(stray)} >= t"
+        walked = 0
+        for beta, _, _ in cores._walk_cores(t, cores.olsson_stanton_max(t, t + 1), True, t + 1):
+            walked += 1
+            if beta and beta[-1] >= t:  # ascending: the last element is the largest
+                return f"t={t}: {partition_of_beta(beta)!r} has beta element {beta[-1]} >= t"
+        if walked != consecutive.count_distinct_cores(t):
+            return (
+                f"t={t}: walked {walked} cores, F_{t + 1} = {consecutive.count_distinct_cores(t)}"
+            )
     return None
 
 
@@ -243,7 +249,7 @@ def check_support_soundness(t_max: int, limit: int) -> str | None:
 
 def check_count_fibonacci(t_max: int, gap_check_t_max: int) -> str | None:
     for t in range(2, t_max + 1):
-        count = sum(1 for _ in consecutive.iter_nice_subsets(t))
+        count = consecutive._count_nice_subsets(t)
         if count != consecutive.count_distinct_cores(t):
             return (
                 f"t={t}: {count} sparse subsets vs F_{t + 1} = "

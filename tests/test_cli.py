@@ -1,11 +1,19 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from corekit import cli, cores, enumerate_partitions, series, verify
+
+# A child interpreter imports the corekit under test from its source tree.
+SRC = str(Path(cli.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH")))
+)}
 
 
 def run_ok(capsys, argv):
@@ -318,9 +326,37 @@ def test_module_entry_point():
         [sys.executable, "-m", "corekit", "stats", "--t", "2"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert "count=2" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--t1", "8", "--t2", "15"],
+        ["enumerate", "--t1", "8", "--t2", "15", "--format", "json"],
+        ["verify", "--suite", "all", "--t-max", "2", "--n-max", "0", "--format", "json"],
+    ],
+    ids=["enumerate-text", "enumerate-json", "verify-json"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    """A reader that stops early (``| head``) ends the command with exit 1
+    and no traceback. Our end of the pipe is closed before the child
+    writes, so its first write fails."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "corekit", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=CHILD_ENV,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+    assert proc.returncode == 1
 
 
 def test_missing_command_is_usage_error():

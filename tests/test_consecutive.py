@@ -21,6 +21,7 @@ from corekit import (
     size_from_beta,
     total_size,
 )
+from corekit.consecutive import _count_nice_subsets
 
 
 class TestFibonacci:
@@ -69,6 +70,7 @@ class TestNiceSubsets:
             assert all(b - a >= 2 for a, b in zip(subset, subset[1:]))
             assert all(1 <= x <= t - 1 for x in subset)
         assert len(subsets) == len(set(subsets)) == fibonacci(t + 1)
+        assert _count_nice_subsets(t) == len(subsets)
 
 
 class TestEnumeration:

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,10 @@ from corekit import (
     enumerate_simultaneous_cores,
     is_core,
     olsson_stanton_max,
+    partition_of_beta,
 )
+from corekit.cores import _walk_cores
+from corekit.partitions import size_lex_key
 
 FIGURE_PARTITION = Partition((5, 3, 3, 2, 1))
 
@@ -181,6 +186,40 @@ class TestSimultaneousCores:
             cells = (s - 1) * (t - 1) // 2
             found.append(len(enumerate_simultaneous_cores(s, t, True, max_gaps=cells)))
         assert found == counts
+
+
+# every coprime pair whose semigroup has at most 20 gap cells, then (10, 11)
+TRUSTED_PAIRS = [
+    (t1, t2)
+    for t1 in range(2, 42)
+    for t2 in range(t1 + 1, 42)
+    if (t1 - 1) * (t2 - 1) <= 40 and gcd(t1, t2) == 1
+] + [(10, 11)]
+
+
+class TestTrustedPath:
+    """The enumerator decodes the walk's beta-sets itself and builds its
+    Partitions without validation; the validating decoder is the oracle."""
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_parts_match_validating_decoder(self, distinct):
+        for t1, t2 in TRUSTED_PAIRS:
+            walk = _walk_cores(t1, olsson_stanton_max(t1, t2), distinct, t2)
+            expected = sorted((partition_of_beta(beta) for beta, _, _ in walk), key=size_lex_key)
+            found = enumerate_simultaneous_cores(t1, t2, distinct)
+            assert [p.parts for p in found] == [p.parts for p in expected], (t1, t2)
+            for p in found:
+                assert type(p.parts) is tuple
+                assert all(type(part) is int for part in p.parts), p
+
+    def test_public_constructors_still_validate(self):
+        enumerate_simultaneous_cores(4, 5)  # the trusted path has run
+        for bad in ((1, 2), (3, 0), (True,), (2.0,)):
+            with pytest.raises(ValueError):
+                Partition(bad)
+        for bad in ({0, 2}, {-1}, {True}, {2.0}):
+            with pytest.raises(ValueError):
+                partition_of_beta(bad)
 
 
 class TestCountFormulas:
