@@ -11,6 +11,11 @@ walk seconds per node of the walk's node bound over t <= 8 (where the
 choice is close) and the median DP seconds per big-int word-operation
 over points with at least 10**6 of them. The grid is chosen independently
 of the benchmark's inputs.
+
+Every time is scaled as perfbench scales a call, so that runs on a host
+whose speed drifts can be compared: a run's time is multiplied by
+perfbench's ``REFERENCE_MS`` and divided by the mean of its reference
+kernel's runs just before and just after it.
 """
 
 from __future__ import annotations
@@ -20,8 +25,13 @@ import platform
 import statistics
 import sys
 import time
+from pathlib import Path
 
 from corekit import series
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from run import REFERENCE_MS  # noqa: E402
+from worker import reference_ms  # noqa: E402
 
 T_VALUES = range(2, 21)
 L_VALUES = (16, 40, 100, 250, 600, 1500, 4000, 10000)
@@ -30,16 +40,21 @@ MAX_S = 1.0  # a route estimated slower than this is not timed
 
 def best_of(route, t: int, limit: int) -> float:
     times = []
+    before = reference_ms()
     for _ in range(3):
         started = time.perf_counter()
         route(t, limit)
-        times.append(time.perf_counter() - started)
-        if times[-1] > 0.2:
+        elapsed = time.perf_counter() - started
+        after = reference_ms()
+        times.append(elapsed * REFERENCE_MS / ((before + after) / 2.0))
+        before = after
+        if elapsed > 0.2:
             break
     return min(times)
 
 
 def main() -> None:
+    reference_ms()  # warm up, as perfbench does
     points = []
     for t in T_VALUES:
         for limit in L_VALUES:

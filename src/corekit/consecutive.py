@@ -5,6 +5,10 @@ consecutive members ("sparse subsets" below), which makes every statistic
 Fibonacci-flavored: the count is F_{t+1}, the total size is the triple
 Fibonacci convolution psi_{t+1}, and the largest size is floor(C(t+1,2)/3).
 
+Every sweep over the sparse subsets reads one iterative walk,
+``_walk_nice_subsets``: it yields a single live ascending list in lex
+order, the empty set first, and a caller that keeps a subset copies it.
+
 The statistics take O(t) big-int steps. ``total_size`` evaluates psi_n at
 n = t+1 in closed form,
 
@@ -44,37 +48,30 @@ def _fib_pair(n: int) -> tuple[int, int]:
     return a, b
 
 
+def _walk_nice_subsets(t: int) -> Iterator[list[int]]:
+    """The sparse subsets of {1,...,t-1} in lex order, as one live ascending
+    list that changes in place after each yield; copy it to keep it."""
+    subset: list[int] = []
+    lo = 1  # the least value the next member may take
+    yield subset
+    while lo < t or subset:
+        if lo < t:
+            subset.append(lo)
+            yield subset
+            lo += 2
+        else:
+            lo = subset.pop() + 1
+
+
 def iter_nice_subsets(t: int) -> Iterator[tuple[int, ...]]:
-    """Subsets of {1,...,t-1} with no two consecutive members, in lex order.
+    """The sparse subsets of {1,...,t-1} as tuples, in lex order.
 
     The empty set is included; it encodes the empty partition and the counts
     below only come out Fibonacci-exact with it.
     """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
-
-    def walk(lo: int) -> Iterator[tuple[int, ...]]:
-        yield ()
-        for x in range(lo, t):
-            for rest in walk(x + 2):
-                yield (x, *rest)
-
-    return walk(1)
-
-
-def _count_nice_subsets(t: int) -> int:
-    """``len(nice_subsets(t))`` by an iterative walk that builds no subsets.
-
-    Each node is a sparse subset, held only as the least value its next
-    member may take; a node holding lo has one child for each member
-    x = lo..t-1, holding x + 2.
-    """
-    walked, pending = 0, [1]
-    while pending:
-        lo = pending.pop()
-        walked += 1
-        pending.extend(range(lo + 2, t + 2))
-    return walked
+    return (tuple(s) for s in _walk_nice_subsets(t))
 
 
 def nice_subsets(t: int) -> list[tuple[int, ...]]:
@@ -222,7 +219,7 @@ class SequenceTable:
 
 def _definitional_bcd(t: int) -> tuple[int, int, int]:
     b = c = d = 0
-    for subset in iter_nice_subsets(t):
+    for subset in _walk_nice_subsets(t):
         k = len(subset)
         b += k
         c += k * k

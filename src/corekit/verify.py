@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
@@ -36,11 +35,11 @@ SUITE_NAMES = ("kernel", "eta", "genfun", "tt1")
 
 
 @lru_cache(maxsize=4)
-def _cores_by_hook_filter(t_hi: int, n_hi: int) -> dict[int, list[Partition]]:
-    """For each t in 2..t_hi, every t-core of size <= n_hi, found by hook scan."""
+def _cores_by_hook_filter(t_hi: int, n_hi: int, distinct_only: bool) -> dict[int, list[Partition]]:
+    """For each t in 2..t_hi, every t-core of size <= n_hi, found by one hook scan."""
     by_t: dict[int, list[Partition]] = {t: [] for t in range(2, t_hi + 1)}
     for n in range(n_hi + 1):
-        for p in cores.enumerate_partitions(n):
+        for p in cores.enumerate_partitions(n, distinct_only):
             hooks = hook_length_set(p)
             for t in range(2, t_hi + 1):
                 if t not in hooks:
@@ -153,7 +152,7 @@ def check_pair_enumeration(gap_cells_max: int) -> str | None:
 
 
 def check_eta_roundtrip(t_max: int, n_max: int) -> str | None:
-    for t, t_cores in _cores_by_hook_filter(t_max, n_max).items():
+    for t, t_cores in _cores_by_hook_filter(t_max, n_max, False).items():
         for p in t_cores:
             v = residues.residue_vector(p, t)
             if residues.core_of_vector(v) != p:
@@ -164,7 +163,7 @@ def check_eta_roundtrip(t_max: int, n_max: int) -> str | None:
 
 
 def check_eta_support(t_max: int, n_max: int) -> str | None:
-    for t, t_cores in _cores_by_hook_filter(t_max, n_max).items():
+    for t, t_cores in _cores_by_hook_filter(t_max, n_max, False).items():
         for p in t_cores:
             v = residues.residue_vector(p, t)
             if residues.separated_support(v) != p.has_distinct_parts():
@@ -184,19 +183,22 @@ def check_eta_vector_roundtrip(t_max: int, n_max: int) -> str | None:
                 return f"t={t}: bad size for {v!r}"
             if residues.residue_vector(p, t) != v:
                 return f"t={t}: roundtrip broke at {v!r}"
-        hook_count = len(_cores_by_hook_filter(t_max, n_max)[t])
+        hook_count = len(_cores_by_hook_filter(t_max, n_max, False)[t])
         if seen != hook_count:
             return f"t={t}: {seen} vectors vs {hook_count} hook-filtered cores"
     return None
 
 
 # ---------------------------------------------------------------------------
-# genfun: the series routes (both eq2 routes against the brute force and closed forms)
+# genfun: the series routes (both eq2 routes against a hook scan and the closed forms)
 
 
 def check_dfs_vs_oracle(t_max: int, limit: int) -> str | None:
-    for t in range(2, t_max + 1):
-        detail = _eq2_routes_differ(series.distinct_core_series_brute(t, limit))
+    for t, t_cores in _cores_by_hook_filter(t_max, limit, True).items():
+        coeffs = [0] * (limit + 1)
+        for p in t_cores:
+            coeffs[p.size] += 1
+        detail = _eq2_routes_differ(series.CoefficientSeries(tuple(coeffs), t=t))
         if detail:
             return detail
     return None
@@ -249,7 +251,7 @@ def check_support_soundness(t_max: int, limit: int) -> str | None:
 
 def check_count_fibonacci(t_max: int, gap_check_t_max: int) -> str | None:
     for t in range(2, t_max + 1):
-        count = consecutive._count_nice_subsets(t)
+        count = sum(1 for _ in consecutive._walk_nice_subsets(t))
         if count != consecutive.count_distinct_cores(t):
             return (
                 f"t={t}: {count} sparse subsets vs F_{t + 1} = "
@@ -327,12 +329,10 @@ def check_ladder(t_max: int) -> str | None:
 
 def check_size_bound(t_max: int) -> str | None:
     for t in range(2, t_max + 1):
-        peak = Fraction((2 * t + 1) ** 2, 24)
-        for subset in consecutive.iter_nice_subsets(t):
-            k = len(subset)
-            bound = -Fraction(3, 2) * (k - Fraction(2 * t + 1, 6)) ** 2 + peak
-            if size_from_beta(subset) > bound:
-                return f"t={t}: subset {subset} beats the bound"
+        # size <= (2t+1)^2/24 - (3/2)(k - (2t+1)/6)^2, multiplied by 24
+        for subset in consecutive._walk_nice_subsets(t):
+            if 24 * size_from_beta(subset) > (2 * t + 1) ** 2 - (6 * len(subset) - 2 * t - 1) ** 2:
+                return f"t={t}: subset {tuple(subset)} beats the bound"
     return None
 
 

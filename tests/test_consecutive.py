@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from corekit import (
     size_from_beta,
     total_size,
 )
-from corekit.consecutive import _count_nice_subsets
+from corekit.consecutive import _walk_nice_subsets
 
 
 class TestFibonacci:
@@ -70,7 +71,17 @@ class TestNiceSubsets:
             assert all(b - a >= 2 for a, b in zip(subset, subset[1:]))
             assert all(1 <= x <= t - 1 for x in subset)
         assert len(subsets) == len(set(subsets)) == fibonacci(t + 1)
-        assert _count_nice_subsets(t) == len(subsets)
+        assert sum(1 for _ in _walk_nice_subsets(t)) == len(subsets)
+
+    def test_membership_and_order_by_brute_force(self):
+        for t in range(2, 13):
+            sparse = [
+                c
+                for k in range(t)
+                for c in combinations(range(1, t), k)
+                if all(b - a >= 2 for a, b in zip(c, c[1:]))
+            ]
+            assert nice_subsets(t) == sorted(sparse), t
 
 
 class TestEnumeration:
