@@ -8,6 +8,7 @@ Fibonacci convolution psi_{t+1}, and the largest size is floor(C(t+1,2)/3).
 Every sweep over the sparse subsets reads one iterative walk,
 ``_walk_nice_subsets``: it yields a single live ascending list in lex
 order, the empty set first, and a caller that keeps a subset copies it.
+``_size_census`` reads every partition size off it, building no Partition.
 
 The statistics take O(t) big-int steps. ``total_size`` evaluates psi_n at
 n = t+1 in closed form,
@@ -16,11 +17,13 @@ n = t+1 in closed form,
 
 from a single Fibonacci pass. The direct convolutions (O(n) and O(n^2)
 products) stay public as independent oracles: ``verify`` rechecks the
-table's rows against them and compares all three routes.
+table's rows against them and compares all three routes. The ladder of
+:func:`sequence_table` starts from zeros at t = 0 and t = 1.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,6 +64,14 @@ def _walk_nice_subsets(t: int) -> Iterator[list[int]]:
             lo += 2
         else:
             lo = subset.pop() + 1
+
+
+def _size_census(t: int) -> Counter[int]:
+    """How many distinct-part (t, t+1)-cores there are of each size, by the
+    formula of ``size_from_beta``, which would rerun ``check_beta`` on every
+    subset: the walk's output is trusted (the rule in :mod:`corekit.cores`).
+    """
+    return Counter(sum(s) - comb(len(s), 2) for s in _walk_nice_subsets(t))
 
 
 def iter_nice_subsets(t: int) -> Iterator[tuple[int, ...]]:
@@ -237,30 +248,22 @@ def sequence_table(t_max: int) -> SequenceTable:
     (split each sparse subset of {1..t-1} on whether it contains t-1), and
     phi_t = phi_{t-1} + phi_{t-2} + F_{t-1}, psi_{t+1} = psi_t + psi_{t-1} + phi_t.
 
-    The rows t = 2, 3 are seeded from subset sums and direct convolutions.
-    ``verify``'s tt1.table check recomputes the rows up to t = 25 the same
-    way.
+    Every quantity is 0 at t = 0 and t = 1, where the empty set is the only
+    sparse subset and every convolution is empty. ``verify``'s tt1.table
+    check recomputes the rows up to t = 25 definitionally.
     """
     if not 2 <= t_max <= TABLE_CAP:
         raise ValueError(f"t_max must be in [2, {TABLE_CAP}], got {t_max}")
 
-    fib = _fib_table(t_max + 2)
-    b2, c2, d2 = _definitional_bcd(2)
-    b3, c3, d3 = _definitional_bcd(3)
-    b = {2: b2, 3: b3}
-    c = {2: c2, 3: c3}
-    d = {2: d2, 3: d3}
-    phi = {2: fibonacci_convolution(2), 3: fibonacci_convolution(3)}
-    psi = {2: fibonacci_triple_convolution(2), 3: fibonacci_triple_convolution(3)}
-    for t in range(4, t_max + 2):
-        b[t] = b[t - 1] + b[t - 2] + fib[t - 1]
-        c[t] = c[t - 1] + c[t - 2] + 2 * b[t - 2] + fib[t - 1]
-        d[t] = d[t - 1] + d[t - 2] + (t - 1) * fib[t - 1]
-        phi[t] = phi[t - 1] + phi[t - 2] + fib[t - 1]
-        psi[t] = psi[t - 1] + psi[t - 2] + phi[t - 1]
-
+    fib = _fib_table(t_max + 1)
+    b, c, d, phi, psi = ([0, 0] for _ in range(5))  # indexed by t, from t = 0
     rows = []
     for t in range(2, t_max + 1):
+        b.append(b[t - 1] + b[t - 2] + fib[t - 1])
+        c.append(c[t - 1] + c[t - 2] + 2 * b[t - 2] + fib[t - 1])
+        d.append(d[t - 1] + d[t - 2] + (t - 1) * fib[t - 1])
+        phi.append(phi[t - 1] + phi[t - 2] + fib[t - 1])
+        psi.append(psi[t - 1] + psi[t - 2] + phi[t - 1])
         diff = c[t] - b[t]
         if diff % 2:
             raise ArithmeticError(f"c_{t} - b_{t} = {diff} is odd; ladder is broken")

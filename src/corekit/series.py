@@ -23,6 +23,7 @@ gates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import comb, inf, isqrt
 from typing import Iterator
 
@@ -31,7 +32,7 @@ from .report import CheckReport
 from .residues import ResidueVector
 
 SERIES_LIMIT_CAP = 1_000_000
-BRUTE_FORCE_CAP = 80
+BRUTE_FORCE_CAP = 60
 # Largest packed DP state, in bytes; past it the DP refuses and the walk
 # serves, however slowly, instead of exhausting memory.
 DP_STATE_BYTES_CAP = 1 << 25
@@ -224,12 +225,12 @@ def distinct_core_series_closed(t: int, limit: int) -> CoefficientSeries:
             coeffs[e] += 1
 
     if t == 2:
-        add_all(comb(n + 1, 2) for n in _naturals())
+        add_all(comb(n + 1, 2) for n in count())
     elif t == 3:
-        add_all(n * n for n in _naturals(1))
-        add_all(n * (n + 1) for n in _naturals())
+        add_all(n * n for n in count(1))
+        add_all(n * (n + 1) for n in count())
     else:
-        add_all(n * (3 * n + 1) // 2 for n in _naturals(1))
+        add_all(n * (3 * n + 1) // 2 for n in count(1))
         # quadratic form is positive definite; the rectangle below overshoots
         # every exponent <= limit
         reach = isqrt(2 * limit) + 3
@@ -239,13 +240,6 @@ def distinct_core_series_closed(t: int, limit: int) -> CoefficientSeries:
                 if e <= limit:
                     coeffs[e] += 1
     return CoefficientSeries(tuple(coeffs), t=t)
-
-
-def _naturals(start: int = 0) -> Iterator[int]:
-    n = start
-    while True:
-        yield n
-        n += 1
 
 
 def distinct_core_series_brute(t: int, limit: int) -> CoefficientSeries:

@@ -266,22 +266,21 @@ def check_count_fibonacci(t_max: int, gap_check_t_max: int) -> str | None:
 
 def check_extremes(t_max: int) -> str | None:
     for t in range(2, t_max + 1):
-        population = consecutive.distinct_core_partitions(t)
-        if len(population) != consecutive.count_distinct_cores(t):
-            return (
-                f"t={t}: {len(population)} partitions vs F_{t + 1} = "
-                f"{consecutive.count_distinct_cores(t)}"
-            )
-        top = max(p.size for p in population)
+        census = consecutive._size_census(t)
+        count = sum(census.values())
+        if count != consecutive.count_distinct_cores(t):
+            return f"t={t}: {count} partitions vs F_{t + 1} = {consecutive.count_distinct_cores(t)}"
+        top = max(census)
         if top != consecutive.largest_size(t):
             return f"t={t}: observed max {top} vs formula {consecutive.largest_size(t)}"
-        attaining = [p for p in population if p.size == top]
-        if len(attaining) != consecutive.maximizer_count(t):
-            return (
-                f"t={t}: {len(attaining)} maximizers vs formula "
-                f"{consecutive.maximizer_count(t)}"
-            )
-        if attaining != consecutive.maximizers(t):
+        if census[top] != consecutive.maximizer_count(t):
+            return f"t={t}: {census[top]} maximizers vs formula {consecutive.maximizer_count(t)}"
+        # census[top] distinct cores of size top are all there are: the scan's maximizers
+        built = consecutive.maximizers(t)
+        if len(set(built)) != len(built) or len(built) != census[top] or not all(
+            p.size == top and p.has_distinct_parts() and cores.is_core(p, (t, t + 1))
+            for p in built
+        ):
             return f"t={t}: constructed maximizers differ from scan"
     return None
 
@@ -289,7 +288,7 @@ def check_extremes(t_max: int) -> str | None:
 def check_total_size(t_max: int) -> str | None:
     table = consecutive.sequence_table(max(t_max, 3))  # row 3 holds the e_3 anchor
     for t in range(2, t_max + 1):
-        observed = sum(p.size for p in consecutive.distinct_core_partitions(t))
+        observed = sum(size * n for size, n in consecutive._size_census(t).items())
         closed = consecutive.total_size(t)
         direct = consecutive.fibonacci_triple_convolution(t + 1)
         if not observed == closed == table.row(t).e == direct:
@@ -425,7 +424,7 @@ SUITES: dict[str, dict[str, Check]] = {
             check_dfs_vs_oracle,
             {
                 "t_max": Bound("t_max", 7, 2, 10),
-                "limit": Bound("n_max", 60, 0, series.BRUTE_FORCE_CAP),
+                "limit": Bound("n_max", 60, 0, 80),
             },
         ),
         "genfun.support_soundness": Check(

@@ -66,6 +66,21 @@ class TestSeriesCommand:
     def test_oracle_cap(self):
         expect_usage_error(["series", "--t", "3", "--limit", "200", "--method", "oracle"])
 
+    def test_oracle_at_its_cap_within_budget(self, capsys):
+        # every n <= 60 is below t, so each coefficient is q(n), the number of
+        # partitions of n into distinct parts
+        limit, budget_s = series.BRUTE_FORCE_CAP, 5.0
+        argv = ["series", "--t", str(cli.SERIES_T_CAP), "--limit", str(limit)]
+        started = time.perf_counter()
+        code, out, _ = run_ok(capsys, [*argv, "--method", "oracle", "--format", "json"])
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert elapsed < budget_s, f"{' '.join(argv)} --method oracle took {elapsed:.2f} s"
+        q = [sum(1 for _ in enumerate_partitions(n, distinct_only=True)) for n in range(limit + 1)]
+        assert json.loads(out)["coeffs"] == q
+        argv[-1] = str(limit + 1)
+        expect_usage_error([*argv, "--method", "oracle"])
+
     def test_rejects_t_below_two(self):
         expect_usage_error(["series", "--t", "1", "--limit", "5"])
 
@@ -103,8 +118,8 @@ class TestSeriesCommand:
         # every distinct-part partition of n < t avoids hook t
         distinct = [sum(1 for _ in enumerate_partitions(n, distinct_only=True)) for n in range(t)]
         assert coeffs[:t] == distinct
-        # the brute-force oracle costs about 10 s per t at its cap of 80, so
-        # it checks n <= 50 and the walk, independent of the DP, n <= 80
+        # the brute-force oracle takes under 0.5 s per t at n <= 50, below its
+        # cap of 60, and the walk, independent of the DP, checks n <= 80
         assert coeffs[:51] == list(series.distinct_core_series_brute(t, 50).coeffs)
         assert coeffs[:81] == list(series.distinct_core_series_walk(t, 80).coeffs)
 

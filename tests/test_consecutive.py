@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,7 +23,7 @@ from corekit import (
     size_from_beta,
     total_size,
 )
-from corekit.consecutive import _walk_nice_subsets
+from corekit.consecutive import _size_census, _walk_nice_subsets
 
 
 class TestFibonacci:
@@ -111,6 +112,10 @@ class TestEnumeration:
         population = distinct_core_partitions(t)
         assert len(population) == count_distinct_cores(t)
         assert all(p.has_distinct_parts() for p in population)
+
+    def test_size_census_matches_population(self):
+        for t in range(2, 17):
+            assert _size_census(t) == Counter(p.size for p in distinct_core_partitions(t)), t
 
 
 class TestExtremes:

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from corekit import verify
+from corekit import Partition, consecutive, verify
 from corekit.verify import Bound, Check
 
 # (t_max, n_max) requests: the defaults, the CLI's floor and the CLI's caps.
@@ -120,3 +120,46 @@ def test_empty_counterexample_is_a_failed_report():
     assert not report.passed
     assert report.params == {"n_max": 3}
     assert report.detail.startswith("crashed: ValueError(")
+
+
+@pytest.mark.parametrize(
+    "check, formula",
+    [
+        (verify.check_extremes, "largest_size"),
+        (verify.check_extremes, "maximizer_count"),
+        (verify.check_total_size, "total_size"),
+    ],
+)
+def test_size_checks_catch_a_formula_off_by_one(monkeypatch, check, formula):
+    original = getattr(consecutive, formula)
+    monkeypatch.setattr(consecutive, formula, lambda t: original(t) + 1)
+    assert check(t_max=12) is not None
+
+
+@pytest.mark.parametrize(
+    "t, bad",
+    [
+        (4, [(3,), (3,)]),  # an entry repeated
+        (4, [(3,)]),  # one missing
+        (4, [(3,), ()]),  # a core of the wrong size
+        (4, [(3,), (1, 1, 1)]),  # a 4- and 5-core of size 3 with a repeated part
+        (7, [(9,), (4, 3, 2)]),  # (9,) has size 9 and distinct parts, but hooks 7 and 8
+    ],
+)
+def test_extremes_catches_wrong_maximizers(monkeypatch, t, bad):
+    original = consecutive.maximizers
+
+    def replaced(s):
+        return [Partition(parts) for parts in bad] if s == t else original(s)
+
+    monkeypatch.setattr(consecutive, "maximizers", replaced)
+    assert verify.check_extremes(t_max=12) == f"t={t}: constructed maximizers differ from scan"
+
+
+def test_size_checks_build_no_population():
+    population = consecutive.distinct_core_partitions
+    population.cache_clear()
+    registry = verify.checks_for("tt1")
+    for name in ("tt1.extremes", "tt1.total_size"):
+        assert verify.run_check(name, registry[name]).passed
+    assert population.cache_info().misses == 0
