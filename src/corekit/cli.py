@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import consecutive, cores, series, verify
-from .partitions import Partition, beta_set
+from .partitions import Partition
 
 T_MAX_CAP = 64
 N_MAX_CAP = 240
@@ -29,10 +29,12 @@ def _dumps(payload: dict) -> str:
 
 
 def _partition_dict(p: Partition) -> dict:
+    rows = len(p.parts)
     return {
         "parts": list(p.parts),
         "size": p.size,
-        "beta": sorted(beta_set(p), reverse=True),
+        # part_i + rows - i falls strictly as i grows: the beta-set, descending
+        "beta": [part + rows - i for i, part in enumerate(p.parts, start=1)],
     }
 
 

@@ -10,16 +10,23 @@ suite.
 one or two moduli, lists the (t1, t2)-cores here and the t-cores behind
 :mod:`corekit.residues` and the eq2 walk of :mod:`corekit.series`.
 
-The walk's output is trusted, because a partition it decodes is valid by
+The walks' output is trusted, because a partition they build is valid by
 construction. :func:`enumerate_simultaneous_cores` reads each part straight
 off the ascending beta-set and builds its Partitions through
 ``partitions._trusted_partition``, which skips validation, and ``verify``'s
-pair-core checks test the walk's beta-sets with no Partition at all. The
-public ``Partition(...)`` and ``partition_of_beta`` keep validating. In
-every cross-check at most one side takes the trusted path: the other side
-of ``tt1.count_fibonacci``'s enumerator comparison,
+pair-core checks test the walk's beta-sets with no Partition at all.
+:func:`enumerate_partitions` builds through the same trusted path: its two
+walks write positive, weakly decreasing parts by construction. The public
+``Partition(...)`` and ``partition_of_beta`` keep validating. In every
+cross-check at most one side takes the trusted path: the other side of
+``tt1.count_fibonacci``'s enumerator comparison,
 ``consecutive.distinct_core_partitions``, builds through
 ``partition_of_beta``.
+
+Independence rule: :func:`enumerate_partitions` shares no code with
+:func:`_walk_cores` or with any beta-set function. It lists partitions by
+their parts alone, so in every sweep that compares a partition with its
+beta-set, its hooks or its residues, it stays the partition side.
 """
 
 from __future__ import annotations
@@ -67,26 +74,69 @@ def enumerate_partitions(n: int, distinct_only: bool = False) -> Iterator[Partit
     """Yield every partition of n (optionally only those with distinct parts).
 
     Single-pass stream in descending lexicographic order of part sequences.
+    All partitions come from Zoghbi and Stojmenovic's ZS1 array walk ("Fast
+    algorithms for generating integer partitions", 1998), amortized O(1)
+    steps each; distinct parts from a walk over an explicit stack of parts.
     """
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
     if n > PARTITION_ENUM_CAP:
         raise ValueError(f"partition enumeration capped at n = {PARTITION_ENUM_CAP}, got {n}")
-
-    def walk(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, max_part), 0, -1):
-            rest_max = first - 1 if distinct_only else first
-            # distinct parts below `first` can sum to at most C(first, 2)
-            if distinct_only and remaining - first > first * (first - 1) // 2:
-                continue
-            for rest in walk(remaining - first, rest_max):
-                yield (first, *rest)
-
-    for parts in walk(n, n):
-        yield Partition(parts)
+    trusted = _trusted_partition  # a local name: no global lookup per partition
+    if n == 0:
+        yield trusted(())
+        return
+    if distinct_only:
+        # the stack holds the parts; each descent appends the largest distinct
+        # parts of at most `top` that sum to `remaining`, which always fit
+        parts: list[int] = []
+        remaining, top = n, n
+        while True:
+            while remaining:
+                if top > remaining:
+                    top = remaining
+                parts.append(top)
+                remaining -= top
+                top -= 1
+            yield trusted(tuple(parts))
+            # pop parts until one can drop by 1 and leave room for the rest
+            while parts:
+                first = parts.pop()
+                remaining += first
+                first -= 1
+                # distinct parts below `first` can sum to at most C(first, 2)
+                if remaining - first <= first * (first - 1) // 2:
+                    break
+            else:
+                return
+            top = first  # the next descent starts with the lowered part
+    # ZS1: x[:m] are the parts, x[h] the last part above 1 and x[h + 1:] ones
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    yield trusted((n,))
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            h -= 1
+            m += 1
+        else:
+            # x[h] drops by one; the ones after it and that one are spread
+            # into as many copies of the new x[h] as fit, then the rest
+            r = x[h] - 1
+            spill = m - h
+            x[h] = r
+            while spill >= r:
+                h += 1
+                x[h] = r
+                spill -= r
+            m = h + 1
+            if spill:
+                m += 1
+                if spill > 1:
+                    h += 1
+                    x[h] = spill
+        yield trusted(tuple(x[:m]))
 
 
 def _check_coprime_pair(t1: int, t2: int) -> None:

@@ -28,7 +28,6 @@ from math import comb, inf, isqrt
 from typing import Iterator
 
 from .cores import _walk_cores, enumerate_partitions, is_core
-from .report import CheckReport
 from .residues import ResidueVector
 
 SERIES_LIMIT_CAP = 1_000_000
@@ -255,17 +254,12 @@ def distinct_core_series_brute(t: int, limit: int) -> CoefficientSeries:
     return CoefficientSeries(coeffs, t=t)
 
 
-def compare_series(a: CoefficientSeries, b: CoefficientSeries) -> CheckReport:
-    """Coefficient-wise comparison; the report carries the first divergence."""
+def compare_series(a: CoefficientSeries, b: CoefficientSeries) -> str | None:
+    """Coefficient-wise comparison: ``None`` when the series agree, else
+    their first divergence."""
     if a.limit != b.limit:
         raise ValueError(f"limit mismatch: {a.limit} vs {b.limit}")
-    params = {"t_a": a.t, "t_b": b.t, "limit": a.limit}
     for n, (x, y) in enumerate(zip(a.coeffs, b.coeffs)):
         if x != y:
-            return CheckReport(
-                check="series.compare",
-                params=params,
-                status="fail",
-                detail=f"first divergence at n={n}: {x} vs {y}",
-            )
-    return CheckReport(check="series.compare", params=params, status="pass")
+            return f"first divergence at n={n}: {x} vs {y}"
+    return None

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from corekit import cli, cores, enumerate_partitions, series, verify
+from corekit import beta_set, cli, cores, enumerate_partitions, series, verify
 
 # A child interpreter imports the corekit under test from its source tree.
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -152,6 +152,26 @@ class TestEnumerateCommand:
         assert [p["size"] for p in payload["partitions"]] == [0, 1, 2, 3, 3]
         assert payload["partitions"][4] == {"parts": [2, 1], "size": 3, "beta": [3, 1]}
         assert json.dumps(payload, separators=(",", ":")) == out.strip()
+
+    def test_beta_lists_match_the_beta_set(self, capsys):
+        # each beta list is read off the parts; the rendering from beta_set
+        # itself must come out byte for byte the same
+        found = cores.enumerate_simultaneous_cores(4, 5)
+        rows = [
+            {
+                "parts": list(p.parts),
+                "size": sum(p.parts),
+                "beta": sorted(beta_set(p), reverse=True),
+            }
+            for p in found
+        ]
+        _, text, _ = run_ok(capsys, ["enumerate", "--t1", "4", "--t2", "5"])
+        assert text == "".join(
+            f"parts={r['parts']} size={r['size']} beta={r['beta']}\n" for r in rows
+        )
+        _, out, _ = run_ok(capsys, ["enumerate", "--t1", "4", "--t2", "5", "--format", "json"])
+        payload = {"t1": 4, "t2": 5, "distinct": False, "count": len(rows), "partitions": rows}
+        assert out == json.dumps(payload, separators=(",", ":")) + "\n"
 
     def test_rejects_non_coprime(self):
         expect_usage_error(["enumerate", "--t1", "4", "--t2", "6"])

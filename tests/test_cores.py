@@ -93,6 +93,48 @@ class TestAbacus:
         assert abacus_is_t_core(beta_set(p), t) == is_core(p, {t})
 
 
+def recursive_enumerator_oracle(n, distinct_only=False):
+    """Frozen copy of the recursive enumerator the iterative walks replaced:
+    part tuples in descending lex order, built level by level."""
+
+    def walk(remaining, max_part):
+        if remaining == 0:
+            yield ()
+            return
+        for first in range(min(remaining, max_part), 0, -1):
+            rest_max = first - 1 if distinct_only else first
+            if distinct_only and remaining - first > first * (first - 1) // 2:
+                continue
+            for rest in walk(remaining - first, rest_max):
+                yield (first, *rest)
+
+    yield from walk(n, n)
+
+
+def pentagonal_counts(n_max):
+    """p(0..n_max) by Euler's pentagonal number recurrence."""
+    p = [1] + [0] * n_max
+    for n in range(1, n_max + 1):
+        k, total = 1, 0
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            total += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                total += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+        p[n] = total
+    return p
+
+
+def distinct_product_counts(n_max):
+    """q(0..n_max): coefficients of the product of (1 + x^k) for k = 1..n_max."""
+    q = [1] + [0] * n_max
+    for k in range(1, n_max + 1):
+        for n in range(n_max, k - 1, -1):
+            q[n] += q[n - k]
+    return q
+
+
 class TestEnumeratePartitions:
     def test_distinct_of_three(self):
         assert [p.parts for p in enumerate_partitions(3, distinct_only=True)] == [
@@ -102,6 +144,7 @@ class TestEnumeratePartitions:
 
     def test_zero(self):
         assert list(enumerate_partitions(0)) == [EMPTY]
+        assert list(enumerate_partitions(0, distinct_only=True)) == [EMPTY]
 
     def test_count_of_five(self):
         assert count_partitions_oracle(5) == 7
@@ -116,10 +159,47 @@ class TestEnumeratePartitions:
         with pytest.raises(ValueError):
             next(enumerate_partitions(121))
 
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_errors_wait_for_the_first_next(self, distinct):
+        for n in (-1, 121):
+            stream = enumerate_partitions(n, distinct)  # a generator: nothing runs yet
+            with pytest.raises(ValueError):
+                next(stream)
+
     @given(st.integers(0, 18))
     @settings(max_examples=20)
     def test_counts_match_oracle(self, n):
         assert sum(1 for _ in enumerate_partitions(n)) == count_partitions_oracle(n)
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_matches_recursive_enumerator(self, distinct):
+        for n in range(31):
+            found = [p.parts for p in enumerate_partitions(n, distinct)]
+            assert found == list(recursive_enumerator_oracle(n, distinct)), n
+
+    def test_counts_match_pentagonal_recurrence(self):
+        # every n <= 40 (215 308 partitions) and the top of the window, n = 60
+        # (966 467); all of n <= 60 is 6.6M partitions, about 8 s
+        expected = pentagonal_counts(60)
+        assert expected[60] == 966467
+        for n in [*range(41), 60]:
+            assert sum(1 for _ in enumerate_partitions(n)) == expected[n], n
+
+    def test_distinct_counts_match_product(self):
+        expected = distinct_product_counts(60)
+        assert expected[60] == 10880
+        found = [sum(1 for _ in enumerate_partitions(n, True)) for n in range(61)]
+        assert found == expected
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_yields_only_valid_partitions(self, distinct):
+        # the walks skip validation; the validating constructor must agree
+        for n in range(21):
+            for p in enumerate_partitions(n, distinct):
+                assert type(p.parts) is tuple
+                assert Partition(p.parts) == p
+                assert p.size == n
+                assert p.has_distinct_parts() or not distinct
 
 
 class TestSimultaneousCores:

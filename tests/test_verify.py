@@ -4,6 +4,7 @@ window the registry declares for it.
 A crashing check is also covered through the CLI in ``test_cli.py``.
 """
 
+import inspect
 import threading
 
 import pytest
@@ -163,3 +164,17 @@ def test_size_checks_build_no_population():
     for name in ("tt1.extremes", "tt1.total_size"):
         assert verify.run_check(name, registry[name]).passed
     assert population.cache_info().misses == 0
+
+
+def test_table_reports_an_odd_ladder_row(monkeypatch):
+    # seeding b_1 = 1 makes c_2 - b_2 odd; the ladder raises on it and
+    # check_table, which has no parity test of its own, reports the error
+    source = inspect.getsource(consecutive.sequence_table)
+    seed = "b, c, d, phi, psi = ([0, 0] for _ in range(5))"
+    assert source.count(seed) == 1
+    namespace = dict(vars(consecutive))
+    exec(source.replace(seed, f"{seed}\n    b[1] = 1"), namespace)
+    monkeypatch.setattr(consecutive, "sequence_table", namespace["sequence_table"])
+    assert verify.check_table(t_max=60, definitional_t_max=25) == (
+        "c_2 - b_2 = -1 is odd; ladder is broken"
+    )
