@@ -8,7 +8,9 @@ suite.
 
 :func:`_walk_cores`, one walk over the beta-sets closed under subtracting
 one or two moduli, lists the (t1, t2)-cores here and the t-cores behind
-:mod:`corekit.residues` and the eq2 walk of :mod:`corekit.series`.
+:mod:`corekit.residues`. Its distinct-part size census is the third side of
+``verify``'s comparison of the two eq2 routes of :mod:`corekit.series`,
+neither of which runs it.
 
 The walks' output is trusted, because a partition they build is valid by
 construction. :func:`enumerate_simultaneous_cores` reads each part straight

@@ -10,11 +10,12 @@ exactly to vectors whose support contains no two adjacent residues.
 
 :func:`iter_core_vectors` lists the vectors up to a size budget with the
 beta-set walk of :mod:`corekit.cores`, the one that also enumerates
-(t1, t2)-cores; restricted to separated support, the same walk is the walk
-route of the eq2 series in :mod:`corekit.series`, whose DP route sums the
-vectors without listing them (it wins where there are many).
-:func:`size_of_vector` is the independent check of the sizes the walk
-tracks.
+(t1, t2)-cores; restricted to separated support, the same walk lists
+:func:`corekit.series.iter_distinct_core_vectors`. The two routes of the
+eq2 series in :mod:`corekit.series`, a walk over vector prefixes and a DP,
+count the same vectors without listing them, and ``verify`` checks both
+against the beta-set walk's census. :func:`size_of_vector` is the
+independent check of the sizes the walk tracks.
 """
 
 from __future__ import annotations

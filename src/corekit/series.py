@@ -6,12 +6,13 @@ Three routes are kept side by side on purpose:
   vectors with separated support (the faithful encoding of the objects
   being counted). It has two exact routes and picks the one
   :func:`eq2_costs` estimates cheaper from (t, limit) alone:
-  :func:`distinct_core_series_walk` runs the beta-set walk of
-  :mod:`corekit.cores` (which also enumerates (t1, t2)-cores) and adds one
-  at each node's size; :func:`distinct_core_series_dp` sums the vectors by
-  dynamic programming over residues, without listing them. The walk wins
-  when there are few vectors (small t, any limit); the DP when there are
-  many.
+  :func:`distinct_core_series_walk` walks the vectors' prefixes and, since
+  the size is a quadratic in the last nonzero entry, counts every choice of
+  that entry in one tight loop; :func:`distinct_core_series_dp` sums the
+  vectors by dynamic programming over residues, without listing them. The
+  walk wins when there are few vectors (small t, any limit); the DP when
+  there are many. Neither runs the beta-set walk of :mod:`corekit.cores`,
+  whose census ``verify`` compares with both.
 * :func:`distinct_core_series_closed` expands explicit exponent formulas
   that exist for t = 2, 3, 4,
 * :func:`distinct_core_series_brute` filters raw partitions by hook lengths.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from math import comb, inf, isqrt
+from math import ceil, comb, inf, isqrt, log, pi, sqrt
 from typing import Iterator
 
 from .cores import _walk_cores, enumerate_partitions, is_core
@@ -36,11 +37,15 @@ BRUTE_FORCE_CAP = 60
 # serves, however slowly, instead of exhausting memory.
 DP_STATE_BYTES_CAP = 1 << 25
 
-# The eq2 cost model: round values near the medians measured by
-# bench/eq2_crossover.py on a t x L grid chosen apart from the benchmark's
-# inputs (t = 2..20, L = 16..10000; 2-vCPU x86-64, Python 3.11; BENCH_5.json).
-WALK_NODE_S = 1.0e-6  # per node of the walk's node bound (median over t <= 8)
-DP_WORD_S = 2.0e-9  # per 64-bit word of state a big-int shift, add or mask reads
+# The eq2 cost model, fitted with bench/eq2_crossover.py on a t x L grid
+# chosen apart from the benchmark's inputs (t = 2..20, L = 16..10000; 2-vCPU
+# x86-64, Python 3.11; BENCH_12.json). The walk's constant is a round value
+# at the low end of its times per node where the routes measure within 2x
+# of each other (median 0.22 us); its time per node falls as L grows. The
+# DP's word constant is fitted where the budget of ``corekit series`` cuts
+# off: those large states take longer per word than the grid's median, 1.4 ns.
+WALK_NODE_S = 0.15e-6  # per node of the walk's node bound
+DP_WORD_S = 3.0e-9  # per 64-bit word of state a big-int shift, add or mask reads
 DP_OP_S = 1.0e-6  # per big-int operation, on top of its words
 
 
@@ -101,11 +106,53 @@ def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
 
 
 def distinct_core_series_walk(t: int, limit: int) -> CoefficientSeries:
-    """The eq2 sum term by term: one node of the walk per counted partition."""
+    """The eq2 sum term by term, its last nonzero entry summed in a tight loop.
+
+    A prefix ``(p, K, A)`` fixes every entry before position p, with K and
+    A as in :func:`distinct_core_series_dp`; the entries from p on are
+    free. Setting one more entry n_j = m at a position j >= p, with zeros
+    after it, gives a vector of size A - C(K, 2) + (j - K)*m + (t - 1)*C(m, 2).
+    That is convex in m, so the m loop counts each size <= limit and stops
+    only where the size is over the limit and still rising: it can fall
+    first. Each vector is counted once, at its last nonzero entry, and the
+    prefix it makes, with j + 2 the next free position, is pushed while an
+    entry can still follow. A only grows, and every vector of size <= limit
+    has A <= top (see :func:`_residue_bounds`), so both prunes on ``top``
+    are exact.
+    """
     _check_args(t, limit)
+    _, top, caps, _ = _residue_bounds(t, limit)
+    positions = len(caps)
     coeffs = [0] * (limit + 1)
-    for _, _, size in _walk_cores(t, limit, True):
-        coeffs[size] += 1
+    coeffs[0] = 1
+    rise = t - 1
+    stack = [(1, 0, 0)]
+    while stack:
+        p, k, a = stack.pop()
+        base = a - k * (k - 1) // 2
+        for j in range(p, positions + 1):
+            if a + j > top:
+                break
+            cap = caps[j - 1]
+            # sizes: step from m - 1 to m is (j - k) + (t - 1)*(m - 1)
+            size, step = base, j - k
+            for _ in range(cap):
+                size += step
+                step += rise
+                if size <= limit:
+                    coeffs[size] += 1
+                elif step > 0:
+                    break
+            # prefixes: g = j*m + t*C(m, 2) grows by j + t*(m - 1)
+            if j + 2 <= positions:
+                room = top - a - j - 2  # g <= room leaves room for position j + 2
+                g, grow = 0, j
+                for m in range(1, cap + 1):
+                    g += grow
+                    if g > room:
+                        break
+                    grow += t
+                    stack.append((j + 2, k + m, a + g))
     return CoefficientSeries(tuple(coeffs), t=t)
 
 
@@ -126,7 +173,7 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
     """
     _check_args(t, limit)
     k_max, top, caps, nodes = _residue_bounds(t, limit)
-    width = _slot_bytes(nodes)
+    width = _slot_bytes(top, nodes)
     block = 2 * top + 1
     if (k_max + 1) * block * width > DP_STATE_BYTES_CAP:
         raise ValueError(
@@ -159,14 +206,15 @@ EQ2_ROUTES = {"walk": distinct_core_series_walk, "dp": distinct_core_series_dp}
 def eq2_costs(t: int, limit: int) -> dict[str, float]:
     """Estimated seconds of each eq2 route, from (t, limit) alone.
 
-    The walk visits at most one node per separated tuple within the caps of
-    :func:`_residue_bounds`. Per position, the DP shifts and adds once per
+    The walk takes at most a few steps per separated tuple within the caps
+    of :func:`_residue_bounds`, and fewer where its m loops stop early. Per
+    position, the DP shifts and adds once per
     allowed nonzero entry, then masks and adds once, each on an int of its
     whole state. The DP's estimate is infinite where it would refuse.
     """
     _check_args(t, limit)
     k_max, top, caps, nodes = _residue_bounds(t, limit)
-    state_bytes = (k_max + 1) * (2 * top + 1) * _slot_bytes(nodes)
+    state_bytes = (k_max + 1) * (2 * top + 1) * _slot_bytes(top, nodes)
     if state_bytes > DP_STATE_BYTES_CAP:
         dp_s = inf
     else:
@@ -184,7 +232,7 @@ def _residue_bounds(t: int, limit: int) -> tuple[int, int, list[int], int]:
     i*n + t*C(n, 2) <= top. Positions i > top can only hold 0 and are left
     out, so ``caps`` has min(t - 1, top) entries. ``nodes`` counts the
     tuples within the caps with no two adjacent entries nonzero: it bounds
-    the vectors the walk visits, and every count the DP holds in one slot.
+    the vectors the walk counts, and every count the DP holds in one slot.
     """
     k_max = (isqrt(8 * limit + 1) - 1) // 2
     top = limit + comb(k_max, 2)
@@ -199,9 +247,18 @@ def _residue_bounds(t: int, limit: int) -> tuple[int, int, list[int], int]:
     return k_max, top, caps, zero + nonzero
 
 
-def _slot_bytes(nodes: int) -> int:
-    """Whole bytes that hold any count up to ``nodes``."""
-    return -(-nodes.bit_length() // 8)
+def _slot_bytes(top: int, nodes: int) -> int:
+    """Whole bytes that hold any count a DP slot can reach.
+
+    A slot counts the partial vectors of one (K, A) with A <= 2 * top. Each
+    encodes a distinct-part partition of size A - C(K, 2) <= 2 * top, so
+    there are at most ``nodes`` and fewer than
+    p(2 * top) < exp(pi * sqrt(4 * top / 3)) (Apostol, *Introduction to
+    Analytic Number Theory*, ch. 14). One bit of margin covers the float's
+    rounding.
+    """
+    bits = min(nodes.bit_length(), ceil(pi * sqrt(4 * top / 3) / log(2)) + 1)
+    return -(-bits // 8)
 
 
 def distinct_core_series_closed(t: int, limit: int) -> CoefficientSeries:

@@ -190,7 +190,8 @@ def check_eta_vector_roundtrip(t_max: int, n_max: int) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# genfun: the series routes (both eq2 routes against a hook scan and the closed forms)
+# genfun: the series routes (both eq2 routes and the beta-set walk against a hook
+# scan; both eq2 routes against the closed forms)
 
 
 def check_dfs_vs_oracle(t_max: int, limit: int) -> str | None:
@@ -198,9 +199,17 @@ def check_dfs_vs_oracle(t_max: int, limit: int) -> str | None:
         coeffs = [0] * (limit + 1)
         for p in t_cores:
             coeffs[p.size] += 1
-        detail = _eq2_routes_differ(series.CoefficientSeries(tuple(coeffs), t=t))
+        expected = series.CoefficientSeries(tuple(coeffs), t=t)
+        detail = _eq2_routes_differ(expected)
         if detail:
             return detail
+        # the beta-set walk's distinct mode, which no eq2 route runs
+        census = [0] * (limit + 1)
+        for _, _, size in cores._walk_cores(t, limit, True):
+            census[size] += 1
+        detail = series.compare_series(series.CoefficientSeries(tuple(census), t=t), expected)
+        if detail:
+            return f"t={t}, beta-set walk: {detail}"
     return None
 
 

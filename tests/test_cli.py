@@ -22,6 +22,15 @@ def run_ok(capsys, argv):
     return code, out.out, out.err
 
 
+def distinct_census(t, limit):
+    """Distinct-part t-cores per size, from the beta-set walk, which shares
+    no code with either eq2 route."""
+    census = [0] * (limit + 1)
+    for _, _, size in cores._walk_cores(t, limit, True):
+        census[size] += 1
+    return census
+
+
 def expect_usage_error(argv):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
@@ -87,8 +96,8 @@ class TestSeriesCommand:
     @pytest.mark.parametrize("t", [2, 3])
     def test_cap_within_budget(self, capsys, t):
         # the largest limit the CLI accepts must answer in seconds at small t,
-        # where eq2 runs the walk. At t = 2 the walk goes about
-        # sqrt(2 * limit) elements deep, past Python's default recursion limit.
+        # where eq2 runs the walk. At t = 2 and 3 the walk has one or two
+        # residue positions, each summed in one loop over its entry.
         limit, budget_s = series.SERIES_LIMIT_CAP, 5.0
         started = time.perf_counter()
         code, out, _ = run_ok(
@@ -119,9 +128,47 @@ class TestSeriesCommand:
         distinct = [sum(1 for _ in enumerate_partitions(n, distinct_only=True)) for n in range(t)]
         assert coeffs[:t] == distinct
         # the brute-force oracle takes under 0.5 s per t at n <= 50, below its
-        # cap of 60, and the walk, independent of the DP, checks n <= 80
+        # cap of 60, and the beta-set walk's census, independent of the DP,
+        # checks n <= 80
         assert coeffs[:51] == list(series.distinct_core_series_brute(t, 50).coeffs)
-        assert coeffs[:81] == list(series.distinct_core_series_walk(t, 80).coeffs)
+        assert coeffs[:81] == distinct_census(t, 80)
+
+    def test_largest_admitted_limit_within_budget(self, capsys):
+        # at t = 6 the walk serves the largest limit the estimate admits, and
+        # its first coefficients must equal the beta-set walk's census
+        t, lo, hi = 6, 0, series.SERIES_LIMIT_CAP
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if min(series.eq2_costs(t, mid).values()) <= cli.SERIES_BUDGET_S:
+                lo = mid
+            else:
+                hi = mid
+        argv = ["series", "--t", str(t), "--limit", str(lo), "--format", "json"]
+        started = time.perf_counter()
+        code, out, _ = run_ok(capsys, argv)
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert elapsed < cli.SERIES_BUDGET_S, f"{' '.join(argv)} took {elapsed:.2f} s"
+        assert json.loads(out)["coeffs"][:201] == distinct_census(t, 200)
+        argv[4] = str(hi)
+        expect_usage_error(argv)
+
+    def test_thousand_within_budget(self, capsys):
+        # every n <= 500 is below t = 1000, so each coefficient is q(n), the
+        # number of partitions of n into distinct parts: the DP's slots are
+        # sized by p(2 * top), not by the far larger count of tuples
+        t, limit = 1000, 500
+        argv = ["series", "--t", str(t), "--limit", str(limit), "--format", "json"]
+        started = time.perf_counter()
+        code, out, _ = run_ok(capsys, argv)
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        assert elapsed < cli.SERIES_BUDGET_S, f"{' '.join(argv)} took {elapsed:.2f} s"
+        q = [1] + [0] * limit  # the product of (1 + x^k) over k = 1..limit
+        for k in range(1, limit + 1):
+            for n in range(limit, k - 1, -1):
+                q[n] += q[n - k]
+        assert json.loads(out)["coeffs"] == q
 
     def test_rejects_t_over_cap(self):
         expect_usage_error(["series", "--t", str(cli.SERIES_T_CAP + 1), "--limit", "1"])

@@ -16,6 +16,7 @@ from corekit import (
     separated_support,
     size_of_vector,
 )
+from corekit.cores import _walk_cores
 
 
 def distinct_count_oracle(n, max_part=None):
@@ -83,6 +84,20 @@ class TestVectorSearch:
 
 
 class TestEq2Routes:
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_walk_equals_dp_and_census_at_every_limit(self, t):
+        # the walk's m loop must run on past sizes over the limit while they
+        # still fall: at t = 4 and limit 65 the size of (7, 0, 1) is 66 and
+        # that of (7, 0, 2) is 65. The beta-set walk's census at one limit
+        # holds every smaller one as a prefix.
+        census = [0] * 201
+        for _, _, size in _walk_cores(t, 200, True):
+            census[size] += 1
+        for limit in range(201):
+            walk = series.distinct_core_series_walk(t, limit)
+            assert walk.coeffs == tuple(census[: limit + 1]), f"t={t} limit={limit}"
+            assert walk == series.distinct_core_series_dp(t, limit), f"t={t} limit={limit}"
+
     @pytest.mark.parametrize("t", range(2, 17))
     def test_dp_equals_walk(self, t):
         for limit in sorted({0, 1, t - 1, t, 2 * t, 60}):
@@ -97,10 +112,10 @@ class TestEq2Routes:
 
     @pytest.mark.parametrize(
         ("t", "limit", "picked"),
-        [(3, 2000, "walk"), (5, 3000, "walk"), (12, 80, "dp"), (10, 150, "dp")],
+        [(3, 2000, "walk"), (5, 3000, "walk"), (7, 1500, "walk"), (12, 80, "dp"), (10, 150, "dp")],
     )
     def test_dispatch_equals_both_routes(self, t, limit, picked):
-        # points far from the crossover, where the estimates differ 30x or more
+        # points where one route measured several times faster than the other
         costs = series.eq2_costs(t, limit)
         assert min(costs, key=costs.get) == picked
         dispatched = distinct_core_series(t, limit)
