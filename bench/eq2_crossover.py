@@ -16,7 +16,9 @@ per-unit times the cost model's constants were fitted to:
   ``corekit series`` admits under its budget, with the picked route's
   estimate and its measured seconds there (one run, unscaled, as a CLI
   user waits for it). The largest states run slower per word than the
-  grid's median, so the DP's word constant is fitted to these corners.
+  grid's median, so the DP's terms are fitted to these corners. One corner,
+  t = 1000, has t far above L: nearly every position there has cap 1, so
+  its few operations per position each make a fresh int of the whole state.
 
 The grid is chosen independently of the benchmark's inputs.
 
@@ -45,7 +47,7 @@ T_VALUES = range(2, 21)
 L_VALUES = (16, 40, 100, 250, 600, 1500, 4000, 10000)
 MAX_S = 1.0  # a route estimated slower than this is not timed
 CROSSOVER_BAND = 2.0  # the walk constant's points: routes within this factor
-CORNER_T = (6, 7, 8, 9, 12, 20)
+CORNER_T = (6, 7, 8, 9, 12, 20, 1000)
 
 
 def best_of(route, t: int, limit: int) -> float:
@@ -98,13 +100,12 @@ def main() -> None:
     for t in T_VALUES:
         for limit in L_VALUES:
             est = series.eq2_costs(t, limit)
-            k_max, top, caps, nodes = series._residue_bounds(t, limit)
-            state_words = (k_max + 1) * (2 * top + 1) * series._slot_bytes(top, nodes) / 8
+            _, _, caps, nodes, _, state_bytes = series._residue_bounds(t, limit)
             point = {
                 "t": t,
                 "limit": limit,
                 "walk_node_bound": nodes,
-                "dp_word_ops": sum(2 * c + 2 for c in caps) * state_words,
+                "dp_word_ops": sum(2 * c + 2 for c in caps) * state_bytes / 8,
                 "est_walk_s": est["walk"],
                 "est_dp_s": est["dp"],
                 "picked": min(est, key=est.get),

@@ -19,7 +19,6 @@ from .consecutive import (
     largest_size,
     maximizer_count,
     maximizers,
-    nice_subsets,
     sequence_table,
     total_size,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "largest_size",
     "maximizer_count",
     "maximizers",
-    "nice_subsets",
     "olsson_stanton_max",
     "partition_of_beta",
     "residue_vector",

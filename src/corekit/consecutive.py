@@ -32,8 +32,10 @@ from typing import Iterator
 
 from .partitions import Partition, partition_of_beta, size_lex_key
 
-NICE_SUBSET_CAP = 40
 TABLE_CAP = 90
+# distinct_core_partitions holds F_{t+1} partitions: F_27 = 196 418 at the
+# cap, about 3 s and 120 MB to build (2-vCPU x86-64, Python 3.11)
+_POPULATION_CAP = 26
 
 
 def fibonacci(i: int) -> int:
@@ -85,21 +87,17 @@ def iter_nice_subsets(t: int) -> Iterator[tuple[int, ...]]:
     return (tuple(s) for s in _walk_nice_subsets(t))
 
 
-def nice_subsets(t: int) -> list[tuple[int, ...]]:
-    """Materialized :func:`iter_nice_subsets`; capped since growth is Fibonacci."""
-    if t > NICE_SUBSET_CAP:
-        raise ValueError(f"nice-subset enumeration capped at t = {NICE_SUBSET_CAP}")
-    return list(iter_nice_subsets(t))
-
-
 @lru_cache(maxsize=8)
 def distinct_core_partitions(t: int) -> tuple[Partition, ...]:
     """All partitions with distinct parts avoiding hooks t and t+1.
 
-    Built constructively from sparse subsets of {1,...,t-1} as beta-sets;
-    sorted by (size, descending-lex parts).
+    Built constructively from sparse subsets of {1,...,t-1} as beta-sets,
+    each through the validating ``partition_of_beta``; sorted by (size,
+    descending-lex parts).
     """
-    partitions = [partition_of_beta(bs) for bs in nice_subsets(t)]
+    if not 2 <= t <= _POPULATION_CAP:
+        raise ValueError(f"need 2 <= t <= {_POPULATION_CAP}, got {t}")
+    partitions = [partition_of_beta(bs) for bs in _walk_nice_subsets(t)]
     partitions.sort(key=size_lex_key)
     return tuple(partitions)
 

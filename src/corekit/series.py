@@ -42,8 +42,8 @@ DP_STATE_BYTES_CAP = 1 << 25
 # x86-64, Python 3.11; BENCH_12.json). The walk's constant is a round value
 # at the low end of its times per node where the routes measure within 2x
 # of each other (median 0.22 us); its time per node falls as L grows. The
-# DP's word constant is fitted where the budget of ``corekit series`` cuts
-# off: those large states take longer per word than the grid's median, 1.4 ns.
+# DP's terms are fitted at that script's corners, where the budget of
+# ``corekit series`` cuts off: there a word takes longer than the grid's 1.4 ns.
 WALK_NODE_S = 0.15e-6  # per node of the walk's node bound
 DP_WORD_S = 3.0e-9  # per 64-bit word of state a big-int shift, add or mask reads
 DP_OP_S = 1.0e-6  # per big-int operation, on top of its words
@@ -121,7 +121,7 @@ def distinct_core_series_walk(t: int, limit: int) -> CoefficientSeries:
     are exact.
     """
     _check_args(t, limit)
-    _, top, caps, _ = _residue_bounds(t, limit)
+    _, top, caps, _, _, _ = _residue_bounds(t, limit)
     positions = len(caps)
     coeffs = [0] * (limit + 1)
     coeffs[0] = 1
@@ -160,25 +160,24 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
     """The eq2 sum by dynamic programming over residues, without its terms.
 
     The size of a vector is A - C(K, 2), with A = sum(i*n_i + t*C(n_i, 2))
-    and K = sum(n_i). Positions i = 1..t-1 are taken in turn; the state is
-    (K so far, whether the last entry is nonzero), and each state holds the
-    polynomial in A of its partial vectors, truncated at ``top`` (see
-    :func:`_residue_bounds`). A only grows, so the truncation is exact. The
-    polynomials of all K with one flag are packed into one int, K-major, in
-    fixed slots wide enough for any count (Kronecker substitution), so
+    and K = sum(n_i). The positions of :func:`_residue_bounds` are taken in
+    turn; the state is (K so far, whether the last entry is nonzero), and
+    each state holds the polynomial in A of its partial vectors, truncated
+    at ``top``. A only grows, so the truncation is exact. The polynomials of
+    all K with one flag are packed into one int, K-major, in slots of
+    ``width`` bytes, which hold any count (Kronecker substitution), so
     setting n_i = n is one shift of that int by n blocks plus
     i*n + t*C(n, 2) slots. A block holds 2 * top + 1 slots, so a shifted
     slot <= top never leaves its block, and one mask per position drops
     every A > top and every K > k_max.
     """
     _check_args(t, limit)
-    k_max, top, caps, nodes = _residue_bounds(t, limit)
-    width = _slot_bytes(top, nodes)
-    block = 2 * top + 1
-    if (k_max + 1) * block * width > DP_STATE_BYTES_CAP:
+    k_max, top, caps, _, width, state_bytes = _residue_bounds(t, limit)
+    if state_bytes > DP_STATE_BYTES_CAP:
         raise ValueError(
             f"residue DP state for t={t}, limit={limit} exceeds {DP_STATE_BYTES_CAP} bytes"
         )
+    block = 2 * top + 1
     bits = 8 * width
     keep = b"\xff" * ((top + 1) * width) + bytes(top * width)
     mask = int.from_bytes(keep * (k_max + 1), "little")
@@ -189,7 +188,7 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
             grown += zero << (n * block + i * n + t * comb(n, 2)) * bits
         zero, nonzero = zero + nonzero, grown & mask
     # size = A - C(K, 2): block K, read from slot C(K, 2) on, adds to sizes 0..limit
-    raw = (zero + nonzero).to_bytes((k_max + 1) * block * width, "little")
+    raw = (zero + nonzero).to_bytes(state_bytes, "little")
     span = (limit + 1) * width
     packed = 0
     for k in range(k_max + 1):
@@ -208,57 +207,57 @@ def eq2_costs(t: int, limit: int) -> dict[str, float]:
 
     The walk takes at most a few steps per separated tuple within the caps
     of :func:`_residue_bounds`, and fewer where its m loops stop early. Per
-    position, the DP shifts and adds once per
-    allowed nonzero entry, then masks and adds once, each on an int of its
-    whole state. The DP's estimate is infinite where it would refuse.
+    position, the DP shifts and adds once per allowed nonzero entry, then
+    masks and adds once, each on an int of its whole state. The DP's
+    estimate is infinite where it would refuse.
     """
     _check_args(t, limit)
-    k_max, top, caps, nodes = _residue_bounds(t, limit)
-    state_bytes = (k_max + 1) * (2 * top + 1) * _slot_bytes(top, nodes)
-    if state_bytes > DP_STATE_BYTES_CAP:
-        dp_s = inf
-    else:
-        dp_s = sum(2 * cap + 2 for cap in caps) * (DP_OP_S + DP_WORD_S * state_bytes / 8)
+    _, _, caps, nodes, _, state_bytes = _residue_bounds(t, limit)
+    # past 64 KiB a word costs a third more, and faulting in the fresh pages
+    # each new int lands on costs about three more passes per position
+    big = state_bytes > 1 << 16
+    passes = sum(2 * cap + (5 if big else 2) for cap in caps)
+    word_s = DP_WORD_S * 4 / 3 if big else DP_WORD_S
+    dp_s = passes * (DP_OP_S + word_s * state_bytes / 8)
     walk_s = WALK_NODE_S * nodes if nodes < 1 << 1000 else inf  # float() overflows near 2**1024
-    return {"walk": walk_s, "dp": dp_s}
+    return {"walk": walk_s, "dp": dp_s if state_bytes <= DP_STATE_BYTES_CAP else inf}
 
 
-def _residue_bounds(t: int, limit: int) -> tuple[int, int, list[int], int]:
-    """``(k_max, top, caps, nodes)`` bounding the vectors of size <= ``limit``.
+def _residue_bounds(t: int, limit: int) -> tuple[int, int, list[int], int, int, int]:
+    """``(k_max, top, caps, nodes, width, state_bytes)``: the one derivation
+    of an eq2 request, for both routes and :func:`eq2_costs`.
 
     A partition with K distinct parts has size >= K(K+1)/2, so K <= k_max.
     Its A = size + C(K, 2) is then at most top = limit + C(k_max, 2), and
     n_i is at most caps[i - 1], the largest n <= k_max with
-    i*n + t*C(n, 2) <= top. Positions i > top can only hold 0 and are left
-    out, so ``caps`` has min(t - 1, top) entries. ``nodes`` counts the
-    tuples within the caps with no two adjacent entries nonzero: it bounds
-    the vectors the walk counts, and every count the DP holds in one slot.
+    i*n + t*C(n, 2) <= top. A nonzero n_i puts i in the beta-set, whose
+    elements are first-column hook lengths, and no hook of a partition of
+    n (at most lambda_1 + l - 1 <= n) exceeds n: so positions past ``limit``
+    only hold 0, and ``caps`` has min(t - 1, limit) entries. ``nodes``
+    counts the tuples within the caps with no two adjacent entries nonzero:
+    it bounds the vectors the walk counts.
+
+    A DP slot counts the partial vectors of one (K, A) with A <= 2 * top.
+    Each encodes a distinct-part partition of size A - C(K, 2) <= 2 * top,
+    so there are at most ``nodes`` and fewer than
+    p(2 * top) < exp(pi * sqrt(4 * top / 3)) (Apostol, *Introduction to
+    Analytic Number Theory*, ch. 14). ``width`` is the whole bytes for the
+    smaller bound, plus one bit of margin for the float's rounding, and the
+    DP's state of k_max + 1 blocks of 2 * top + 1 slots has ``state_bytes``.
     """
     k_max = (isqrt(8 * limit + 1) - 1) // 2
     top = limit + comb(k_max, 2)
     caps = []
     n = k_max
     zero, nonzero = 1, 0  # separated tuples so far whose last entry is zero / nonzero
-    for i in range(1, min(t - 1, top) + 1):
+    for i in range(1, min(t - 1, limit) + 1):
         while i * n + t * comb(n, 2) > top:
             n -= 1
         caps.append(n)
         zero, nonzero = zero + nonzero, zero * n
-    return k_max, top, caps, zero + nonzero
-
-
-def _slot_bytes(top: int, nodes: int) -> int:
-    """Whole bytes that hold any count a DP slot can reach.
-
-    A slot counts the partial vectors of one (K, A) with A <= 2 * top. Each
-    encodes a distinct-part partition of size A - C(K, 2) <= 2 * top, so
-    there are at most ``nodes`` and fewer than
-    p(2 * top) < exp(pi * sqrt(4 * top / 3)) (Apostol, *Introduction to
-    Analytic Number Theory*, ch. 14). One bit of margin covers the float's
-    rounding.
-    """
-    bits = min(nodes.bit_length(), ceil(pi * sqrt(4 * top / 3) / log(2)) + 1)
-    return -(-bits // 8)
+    nodes = zero + nonzero
+    width = (min(nodes.bit_length(), ceil(pi * sqrt(4 * top / 3) / log(2)) + 1) + 7) // 8
+    return k_max, top, caps, nodes, width, (k_max + 1) * (2 * top + 1) * width
 
 
 def distinct_core_series_closed(t: int, limit: int) -> CoefficientSeries:

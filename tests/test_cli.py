@@ -31,6 +31,18 @@ def distinct_census(t, limit):
     return census
 
 
+def largest_admitted(t):
+    """The largest limit whose cheaper eq2 estimate fits the series budget."""
+    lo, hi = 0, series.SERIES_LIMIT_CAP
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if min(series.eq2_costs(t, mid).values()) <= cli.SERIES_BUDGET_S:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def expect_usage_error(argv):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
@@ -136,13 +148,8 @@ class TestSeriesCommand:
     def test_largest_admitted_limit_within_budget(self, capsys):
         # at t = 6 the walk serves the largest limit the estimate admits, and
         # its first coefficients must equal the beta-set walk's census
-        t, lo, hi = 6, 0, series.SERIES_LIMIT_CAP
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if min(series.eq2_costs(t, mid).values()) <= cli.SERIES_BUDGET_S:
-                lo = mid
-            else:
-                hi = mid
+        t = 6
+        lo = largest_admitted(t)
         argv = ["series", "--t", str(t), "--limit", str(lo), "--format", "json"]
         started = time.perf_counter()
         code, out, _ = run_ok(capsys, argv)
@@ -150,14 +157,16 @@ class TestSeriesCommand:
         assert code == 0
         assert elapsed < cli.SERIES_BUDGET_S, f"{' '.join(argv)} took {elapsed:.2f} s"
         assert json.loads(out)["coeffs"][:201] == distinct_census(t, 200)
-        argv[4] = str(hi)
+        argv[4] = str(lo + 1)
         expect_usage_error(argv)
 
-    def test_thousand_within_budget(self, capsys):
-        # every n <= 500 is below t = 1000, so each coefficient is q(n), the
+    @pytest.mark.parametrize("limit", [500, largest_admitted(1000)], ids=["500", "largest"])
+    def test_thousand_within_budget(self, capsys, limit):
+        # every n <= limit is below t = 1000, so each coefficient is q(n), the
         # number of partitions of n into distinct parts: the DP's slots are
-        # sized by p(2 * top), not by the far larger count of tuples
-        t, limit = 1000, 500
+        # sized by p(2 * top), not by the far larger count of tuples, and its
+        # positions stop at the limit, past which no hook reaches
+        t = 1000
         argv = ["series", "--t", str(t), "--limit", str(limit), "--format", "json"]
         started = time.perf_counter()
         code, out, _ = run_ok(capsys, argv)

@@ -18,12 +18,16 @@ from corekit import (
     largest_size,
     maximizer_count,
     maximizers,
-    nice_subsets,
     sequence_table,
     size_from_beta,
     total_size,
 )
-from corekit.consecutive import _size_census, _walk_nice_subsets
+from corekit.consecutive import (
+    _POPULATION_CAP,
+    _size_census,
+    _walk_nice_subsets,
+    iter_nice_subsets,
+)
 
 
 class TestFibonacci:
@@ -45,7 +49,7 @@ class TestFibonacci:
 
 class TestNiceSubsets:
     def test_t5(self):
-        assert nice_subsets(5) == [
+        assert list(iter_nice_subsets(5)) == [
             (),
             (1,),
             (1, 3),
@@ -57,17 +61,20 @@ class TestNiceSubsets:
         ]
 
     def test_t2_t3(self):
-        assert nice_subsets(2) == [(), (1,)]
-        assert nice_subsets(3) == [(), (1,), (2,)]
+        assert list(iter_nice_subsets(2)) == [(), (1,)]
+        assert list(iter_nice_subsets(3)) == [(), (1,), (2,)]
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            nice_subsets(41)
+        # the population holds F_{t+1} partitions; the cap refuses before any is built
+        assert _POPULATION_CAP == 26
+        for t in (1, _POPULATION_CAP + 1):
+            with pytest.raises(ValueError):
+                distinct_core_partitions(t)
 
     @given(st.integers(2, 14))
     @settings(max_examples=13)
     def test_no_two_consecutive_and_count(self, t):
-        subsets = nice_subsets(t)
+        subsets = list(iter_nice_subsets(t))
         for subset in subsets:
             assert all(b - a >= 2 for a, b in zip(subset, subset[1:]))
             assert all(1 <= x <= t - 1 for x in subset)
@@ -82,7 +89,7 @@ class TestNiceSubsets:
                 for c in combinations(range(1, t), k)
                 if all(b - a >= 2 for a, b in zip(c, c[1:]))
             ]
-            assert nice_subsets(t) == sorted(sparse), t
+            assert list(iter_nice_subsets(t)) == sorted(sparse), t
 
 
 class TestEnumeration:
@@ -231,7 +238,7 @@ class TestQuadraticBound:
     @settings(max_examples=11)
     def test_size_bound_over_sparse_subsets(self, t):
         peak = Fraction((2 * t + 1) ** 2, 24)
-        for subset in nice_subsets(t):
+        for subset in iter_nice_subsets(t):
             k = len(subset)
             bound = -Fraction(3, 2) * (k - Fraction(2 * t + 1, 6)) ** 2 + peak
             assert size_from_beta(subset) <= bound

@@ -133,6 +133,8 @@ class TestEq2Routes:
         assert (max(dp.coeffs) > 255) == multibyte
 
     def test_dp_refuses_oversized_state(self):
+        state_bytes = series._residue_bounds(2, series.SERIES_LIMIT_CAP)[5]
+        assert state_bytes > series.DP_STATE_BYTES_CAP
         with pytest.raises(ValueError):
             series.distinct_core_series_dp(2, series.SERIES_LIMIT_CAP)
         assert series.eq2_costs(2, series.SERIES_LIMIT_CAP)["dp"] == inf
