@@ -5,20 +5,19 @@
 For every grid point it prints the walk's and the DP's measured seconds
 (best of up to three runs; null where the route's estimate exceeds
 ``MAX_S``), both estimates from ``series.eq2_costs``, the route the
-dispatch picks and the route that measured faster. The summary gives the
-per-unit times the cost model's constants were fitted to:
+dispatch picks and the route that measured faster. At each t of
+``CORNER_T`` it also runs the largest limit ``series.distinct_core_series``
+admits under ``series.SERIES_BUDGET_S``, on the picked route (one run,
+unscaled, as a caller waits for it). One corner, t = 1000, has t far above
+L: nearly every position there has cap 1, so its few operations per
+position each make a fresh int of the whole state.
 
-* the median walk seconds per node of the walk's node bound where the
-  choice is close: over the points whose two routes measured within
-  ``CROSSOVER_BAND`` of each other;
-* the median DP seconds per big-int word-operation over points with at
-  least 10**6 of them, and, at each t of ``CORNER_T``, the largest limit
-  ``corekit series`` admits under its budget, with the picked route's
-  estimate and its measured seconds there (one run, unscaled, as a CLI
-  user waits for it). The largest states run slower per word than the
-  grid's median, so the DP's terms are fitted to these corners. One corner,
-  t = 1000, has t far above L: nearly every position there has cap 1, so
-  its few operations per position each make a fresh int of the whole state.
+``median_measured_over_estimate`` gives, per route, the factor a refit
+scales that route's constants by: the median of measured over estimated
+seconds where its constants were fitted. For the walk these are the grid
+points whose two routes measured within ``CROSSOVER_BAND`` of each other;
+for the DP, the corners it serves, since the largest states run slower
+per word than the grid's.
 
 The grid is chosen independently of the benchmark's inputs.
 
@@ -37,7 +36,7 @@ import sys
 import time
 from pathlib import Path
 
-from corekit import cli, series
+from corekit import series
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from run import REFERENCE_MS  # noqa: E402
@@ -65,20 +64,8 @@ def best_of(route, t: int, limit: int) -> float:
     return min(times)
 
 
-def budget_corner(t: int) -> int:
-    """The largest limit whose cheaper estimate fits ``corekit series``'s budget."""
-    lo, hi = 0, series.SERIES_LIMIT_CAP + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if min(series.eq2_costs(t, mid).values()) <= cli.SERIES_BUDGET_S:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def corner_point(t: int) -> dict:
-    limit = budget_corner(t)
+    limit = series._largest_admitted(t)
     est = series.eq2_costs(t, limit)
     picked = min(est, key=est.get)
     started = time.perf_counter()
@@ -100,12 +87,9 @@ def main() -> None:
     for t in T_VALUES:
         for limit in L_VALUES:
             est = series.eq2_costs(t, limit)
-            _, _, caps, nodes, _, state_bytes = series._residue_bounds(t, limit)
             point = {
                 "t": t,
                 "limit": limit,
-                "walk_node_bound": nodes,
-                "dp_word_ops": sum(2 * c + 2 for c in caps) * state_bytes / 8,
                 "est_walk_s": est["walk"],
                 "est_dp_s": est["dp"],
                 "picked": min(est, key=est.get),
@@ -121,17 +105,16 @@ def main() -> None:
     close = [
         p for p in both if max(p["walk_s"], p["dp_s"]) <= CROSSOVER_BAND * min(p["walk_s"], p["dp_s"])
     ]
-    dp_per_word = [
-        p["dp_s"] / p["dp_word_ops"] for p in points if p["dp_s"] and p["dp_word_ops"] >= 1e6
-    ]
     corners = [corner_point(t) for t in CORNER_T]
     summary = {
         "machine": f"{platform.machine()}, Python {platform.python_version()}",
-        "median_walk_s_per_bound_node_near_crossover": statistics.median(
-            p["walk_s"] / p["walk_node_bound"] for p in close
-        ),
+        "median_measured_over_estimate": {
+            "walk": statistics.median(p["walk_s"] / p["est_walk_s"] for p in close),
+            "dp": statistics.median(
+                p["measured_s"] / p["est_s"] for p in corners if p["picked"] == "dp"
+            ),
+        },
         "points_near_crossover": len(close),
-        "median_dp_s_per_word_op": statistics.median(dp_per_word),
         "points_timed_on_both": len(both),
         "picked_the_faster": len(both) - len(wrong),
         "slowdown_when_wrong": max(

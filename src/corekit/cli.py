@@ -18,10 +18,14 @@ from .partitions import Partition
 
 T_MAX_CAP = 64
 N_MAX_CAP = 240
-# series: --t bounds the cost of estimating a request; the estimate, on the
-# cheaper eq2 route, must fit the budget.
+# series: --t bounds the cost of estimating an eq2 request, which the library
+# refuses over its budget, and of finding the largest limit it admits.
 SERIES_T_CAP = 10_000
-SERIES_BUDGET_S = 5.0
+SERIES_METHODS = {
+    "eq2": series.distinct_core_series,
+    "closed": series.distinct_core_series_closed,
+    "oracle": series.distinct_core_series_brute,
+}
 
 
 def _dumps(payload: dict) -> str:
@@ -70,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--limit", type=_ranged_int(0), required=True)
     p_series.add_argument(
         "--method",
-        choices=("eq2", "closed", "oracle"),
+        choices=tuple(SERIES_METHODS),
         default="eq2",
         help="eq2: exact residue-vector walk or residue DP, whichever is estimated "
         "cheaper; closed: closed form (t=2,3,4); oracle: brute-force partition filter",
@@ -108,18 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
-        if args.method == "eq2":
-            cost_s = min(series.eq2_costs(args.t, args.limit).values())
-            if cost_s > SERIES_BUDGET_S:
-                raise ValueError(
-                    f"eq2 at t={args.t}, limit={args.limit} is estimated at {cost_s:.3g} s, "
-                    f"over the {SERIES_BUDGET_S:g} s budget"
-                )
-            result = series.distinct_core_series(args.t, args.limit)
-        elif args.method == "closed":
-            result = series.distinct_core_series_closed(args.t, args.limit)
-        else:
-            result = series.distinct_core_series_brute(args.t, args.limit)
+        result = SERIES_METHODS[args.method](args.t, args.limit)
     except ValueError as exc:
         parser.error(str(exc))
     if args.format == "json":

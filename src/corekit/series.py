@@ -12,7 +12,8 @@ Three routes are kept side by side on purpose:
   vectors by dynamic programming over residues, without listing them. The
   walk wins when there are few vectors (small t, any limit); the DP when
   there are many. Neither runs the beta-set walk of :mod:`corekit.cores`,
-  whose census ``verify`` compares with both.
+  whose census ``verify`` compares with both. Only the dispatcher has a
+  budget, :data:`SERIES_BUDGET_S`, and refuses requests estimated over it.
 * :func:`distinct_core_series_closed` expands explicit exponent formulas
   that exist for t = 2, 3, 4,
 * :func:`distinct_core_series_brute` filters raw partitions by hook lengths.
@@ -23,6 +24,7 @@ gates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count
 from math import ceil, comb, inf, isqrt, log, pi, sqrt
@@ -33,8 +35,9 @@ from .residues import ResidueVector
 
 SERIES_LIMIT_CAP = 1_000_000
 BRUTE_FORCE_CAP = 60
-# Largest packed DP state, in bytes; past it the DP refuses and the walk
-# serves, however slowly, instead of exhausting memory.
+SERIES_BUDGET_S = 5.0  # distinct_core_series refuses cheaper estimates over this
+# Largest packed DP state, in bytes; past it a direct DP call refuses
+# instead of exhausting memory, and the DP's estimate is infinite.
 DP_STATE_BYTES_CAP = 1 << 25
 
 # The eq2 cost model, fitted with bench/eq2_crossover.py on a t x L grid
@@ -42,8 +45,8 @@ DP_STATE_BYTES_CAP = 1 << 25
 # x86-64, Python 3.11; BENCH_12.json). The walk's constant is a round value
 # at the low end of its times per node where the routes measure within 2x
 # of each other (median 0.22 us); its time per node falls as L grows. The
-# DP's terms are fitted at that script's corners, where the budget of
-# ``corekit series`` cuts off: there a word takes longer than the grid's 1.4 ns.
+# DP's terms are fitted at that script's corners, where SERIES_BUDGET_S cuts
+# off: there a word takes longer than the grid's 1.4 ns.
 WALK_NODE_S = 0.15e-6  # per node of the walk's node bound
 DP_WORD_S = 3.0e-9  # per 64-bit word of state a big-int shift, add or mask reads
 DP_OP_S = 1.0e-6  # per big-int operation, on top of its words
@@ -99,10 +102,26 @@ def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
     """Count, per size, the distinct-part partitions avoiding hook t.
 
     Runs whichever eq2 route :func:`eq2_costs` estimates cheaper; both are
-    exact.
+    exact. Raises ValueError when that estimate exceeds
+    :data:`SERIES_BUDGET_S`; call a route directly to run past it.
     """
     costs = eq2_costs(t, limit)
-    return EQ2_ROUTES[min(costs, key=costs.get)](t, limit)
+    route = min(costs, key=costs.get)
+    if costs[route] > SERIES_BUDGET_S:
+        # the float's shortest repr: never rounds down to the budget
+        raise ValueError(
+            f"eq2 at t={t}, limit={limit} is estimated at {costs[route]!r} s, over the "
+            f"{SERIES_BUDGET_S:g} s budget; the largest limit admitted at t={t} is "
+            f"{_largest_admitted(t)}"
+        )
+    return EQ2_ROUTES[route](t, limit)
+
+
+def _largest_admitted(t: int) -> int:
+    """The largest limit :func:`distinct_core_series` admits at t, by
+    bisection: the estimates grow with the limit."""
+    over = lambda limit: min(eq2_costs(t, limit).values()) > SERIES_BUDGET_S
+    return bisect_left(range(SERIES_LIMIT_CAP + 1), True, key=over) - 1
 
 
 def distinct_core_series_walk(t: int, limit: int) -> CoefficientSeries:
@@ -182,9 +201,9 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
     keep = b"\xff" * ((top + 1) * width) + bytes(top * width)
     mask = int.from_bytes(keep * (k_max + 1), "little")
     zero, nonzero = 1, 0  # last entry zero (or no entry yet) / nonzero
-    for i, cap in enumerate(caps, start=1):
-        grown = 0
-        for n in range(1, cap + 1):
+    for i, cap in enumerate(caps, start=1):  # cap >= 1, as i <= limit <= top
+        grown = zero << (block + i) * bits
+        for n in range(2, cap + 1):
             grown += zero << (n * block + i * n + t * comb(n, 2)) * bits
         zero, nonzero = zero + nonzero, grown & mask
     # size = A - C(K, 2): block K, read from slot C(K, 2) on, adds to sizes 0..limit

@@ -1,17 +1,22 @@
-"""The names the traced benchmark run patches must exist in corekit.
+"""The names the benchmark relies on must exist in corekit.
 
 ``perfbench/spans.py`` wraps corekit's functions and constructors by name
-and reads the population cache's statistics; a rename or a deleted cache
-would otherwise break only the traced run. The module's source is read and
-executed here, so nothing is written under ``perfbench/``.
+and reads the population cache's statistics, and the verify-all workload
+requires every check in ``perfbench/workloads.py``'s ``VERIFY_CHECKS`` to
+pass; a rename or a deleted cache would otherwise break only the benchmark.
+The modules' sources are only read here, so nothing is written under
+``perfbench/``.
 """
 
+import ast
 import types
 from pathlib import Path
 
 import corekit
+from corekit import verify
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -32,3 +37,14 @@ def test_tracer_reads_the_population_cache():
     # the readout calls distinct_core_partitions.cache_info()
     metrics = _load_spans().Tracer(corekit).layer_metrics()
     assert metrics["consecutive.population_builds"] >= 0
+
+
+def test_verify_checks_are_registered():
+    # read with ast: executing workloads.py needs it registered in sys.modules
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    names = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "VERIFY_CHECKS"
+    )
+    assert names and set(names) <= set(verify.checks_for("all"))

@@ -22,6 +22,16 @@ def run_ok(capsys, argv):
     return code, out.out, out.err
 
 
+def run_within_budget(capsys, argv, budget_s=5.0):
+    """Run a command that must succeed within ``budget_s``; its stdout."""
+    started = time.perf_counter()
+    code, out, _ = run_ok(capsys, argv)
+    elapsed = time.perf_counter() - started
+    assert code == 0
+    assert elapsed < budget_s, f"{' '.join(argv)} took {elapsed:.2f} s"
+    return out
+
+
 def distinct_census(t, limit):
     """Distinct-part t-cores per size, from the beta-set walk, which shares
     no code with either eq2 route."""
@@ -29,18 +39,6 @@ def distinct_census(t, limit):
     for _, _, size in cores._walk_cores(t, limit, True):
         census[size] += 1
     return census
-
-
-def largest_admitted(t):
-    """The largest limit whose cheaper eq2 estimate fits the series budget."""
-    lo, hi = 0, series.SERIES_LIMIT_CAP
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if min(series.eq2_costs(t, mid).values()) <= cli.SERIES_BUDGET_S:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def expect_usage_error(argv):
@@ -90,13 +88,9 @@ class TestSeriesCommand:
     def test_oracle_at_its_cap_within_budget(self, capsys):
         # every n <= 60 is below t, so each coefficient is q(n), the number of
         # partitions of n into distinct parts
-        limit, budget_s = series.BRUTE_FORCE_CAP, 5.0
+        limit = series.BRUTE_FORCE_CAP
         argv = ["series", "--t", str(cli.SERIES_T_CAP), "--limit", str(limit)]
-        started = time.perf_counter()
-        code, out, _ = run_ok(capsys, [*argv, "--method", "oracle", "--format", "json"])
-        elapsed = time.perf_counter() - started
-        assert code == 0
-        assert elapsed < budget_s, f"{' '.join(argv)} --method oracle took {elapsed:.2f} s"
+        out = run_within_budget(capsys, [*argv, "--method", "oracle", "--format", "json"])
         q = [sum(1 for _ in enumerate_partitions(n, distinct_only=True)) for n in range(limit + 1)]
         assert json.loads(out)["coeffs"] == q
         argv[-1] = str(limit + 1)
@@ -110,31 +104,18 @@ class TestSeriesCommand:
         # the largest limit the CLI accepts must answer in seconds at small t,
         # where eq2 runs the walk. At t = 2 and 3 the walk has one or two
         # residue positions, each summed in one loop over its entry.
-        limit, budget_s = series.SERIES_LIMIT_CAP, 5.0
-        started = time.perf_counter()
-        code, out, _ = run_ok(
-            capsys, ["series", "--t", str(t), "--limit", str(limit), "--format", "json"]
-        )
-        elapsed = time.perf_counter() - started
-        assert code == 0
-        assert elapsed < budget_s, f"series --t {t} --limit {limit} took {elapsed:.2f} s"
+        limit = series.SERIES_LIMIT_CAP
+        argv = ["series", "--t", str(t), "--limit", str(limit), "--format", "json"]
         closed = series.distinct_core_series_closed(t, limit)
-        assert json.loads(out)["coeffs"] == list(closed.coeffs)
-
+        assert json.loads(run_within_budget(capsys, argv))["coeffs"] == list(closed.coeffs)
 
     @pytest.mark.parametrize("t", [20, 40])
     def test_large_t_within_budget(self, capsys, t):
         # eq2 runs the residue DP here; listing the vectors would take hours
         # (1.8e8 of them at t = 20)
-        limit, budget_s = 500, 5.0
-        started = time.perf_counter()
-        code, out, _ = run_ok(
-            capsys, ["series", "--t", str(t), "--limit", str(limit), "--format", "json"]
-        )
-        elapsed = time.perf_counter() - started
-        assert code == 0
-        assert elapsed < budget_s, f"series --t {t} --limit {limit} took {elapsed:.2f} s"
-        coeffs = json.loads(out)["coeffs"]
+        limit = 500
+        argv = ["series", "--t", str(t), "--limit", str(limit), "--format", "json"]
+        coeffs = json.loads(run_within_budget(capsys, argv))["coeffs"]
         assert len(coeffs) == limit + 1
         # every distinct-part partition of n < t avoids hook t
         distinct = [sum(1 for _ in enumerate_partitions(n, distinct_only=True)) for n in range(t)]
@@ -149,30 +130,21 @@ class TestSeriesCommand:
         # at t = 6 the walk serves the largest limit the estimate admits, and
         # its first coefficients must equal the beta-set walk's census
         t = 6
-        lo = largest_admitted(t)
+        lo = series._largest_admitted(t)
         argv = ["series", "--t", str(t), "--limit", str(lo), "--format", "json"]
-        started = time.perf_counter()
-        code, out, _ = run_ok(capsys, argv)
-        elapsed = time.perf_counter() - started
-        assert code == 0
-        assert elapsed < cli.SERIES_BUDGET_S, f"{' '.join(argv)} took {elapsed:.2f} s"
+        out = run_within_budget(capsys, argv, series.SERIES_BUDGET_S)
         assert json.loads(out)["coeffs"][:201] == distinct_census(t, 200)
         argv[4] = str(lo + 1)
         expect_usage_error(argv)
 
-    @pytest.mark.parametrize("limit", [500, largest_admitted(1000)], ids=["500", "largest"])
+    @pytest.mark.parametrize("limit", [500, series._largest_admitted(1000)], ids=["500", "largest"])
     def test_thousand_within_budget(self, capsys, limit):
         # every n <= limit is below t = 1000, so each coefficient is q(n), the
         # number of partitions of n into distinct parts: the DP's slots are
         # sized by p(2 * top), not by the far larger count of tuples, and its
         # positions stop at the limit, past which no hook reaches
-        t = 1000
-        argv = ["series", "--t", str(t), "--limit", str(limit), "--format", "json"]
-        started = time.perf_counter()
-        code, out, _ = run_ok(capsys, argv)
-        elapsed = time.perf_counter() - started
-        assert code == 0
-        assert elapsed < cli.SERIES_BUDGET_S, f"{' '.join(argv)} took {elapsed:.2f} s"
+        argv = ["series", "--t", "1000", "--limit", str(limit), "--format", "json"]
+        out = run_within_budget(capsys, argv, series.SERIES_BUDGET_S)
         q = [1] + [0] * limit  # the product of (1 + x^k) over k = 1..limit
         for k in range(1, limit + 1):
             for n in range(limit, k - 1, -1):
@@ -186,6 +158,14 @@ class TestSeriesCommand:
         # 2.5e11 walk nodes; the DP state would need gigabytes
         expect_usage_error(["series", "--t", "8", "--limit", "1000000"])
         assert "budget" in capsys.readouterr().err
+        # an estimate of 5.00004 s, which three digits would print as the budget
+        expect_usage_error(["series", "--t", "1000", "--limit", "637"])
+        err = capsys.readouterr().err
+        assert "estimated at 5.00004" in err and "admitted at t=1000 is 636" in err
+        # at the caps of --t and --limit the refusal, with its search, stays quick
+        started = time.perf_counter()
+        expect_usage_error(["series", "--t", str(cli.SERIES_T_CAP), "--limit", "1000000"])
+        assert time.perf_counter() - started < 1.0
 
 
 class TestEnumerateCommand:
@@ -246,15 +226,8 @@ class TestEnumerateCommand:
     def test_cap_within_budget(self, capsys, pair):
         # the largest pairs with at most 50 gap cells must answer in seconds
         t1, t2 = pair
-        budget_s = 5.0
-        started = time.perf_counter()
-        code, out, _ = run_ok(
-            capsys, ["enumerate", "--t1", str(t1), "--t2", str(t2), "--format", "json"]
-        )
-        elapsed = time.perf_counter() - started
-        assert code == 0
-        assert elapsed < budget_s, f"enumerate ({t1}, {t2}) took {elapsed:.2f} s"
-        payload = json.loads(out)
+        argv = ["enumerate", "--t1", str(t1), "--t2", str(t2), "--format", "json"]
+        payload = json.loads(run_within_budget(capsys, argv))
         assert payload["count"] == len(payload["partitions"]) == cores.anderson_count(t1, t2)
         assert max(p["size"] for p in payload["partitions"]) == cores.olsson_stanton_max(t1, t2)
 
@@ -289,12 +262,8 @@ class TestStatsCommand:
 
     def test_cap_within_budget(self, capsys):
         # the largest t the CLI accepts must answer in seconds, not minutes
-        t, budget_s = 10000, 5.0
-        started = time.perf_counter()
-        code, out, _ = run_ok(capsys, ["stats", "--t", str(t), "--format", "json"])
-        elapsed = time.perf_counter() - started
-        assert code == 0
-        assert elapsed < budget_s, f"stats --t {t} took {elapsed:.2f} s"
+        t = 10000
+        out = run_within_budget(capsys, ["stats", "--t", str(t), "--format", "json"])
         # F, phi (double convolution) and psi (triple) from n = 1 up to t + 1:
         # phi_n = phi_{n-1} + phi_{n-2} + F_{n-1}, psi_n = psi_{n-1} + psi_{n-2} + phi_{n-1}
         f_prev, f = 0, 1

@@ -1,0 +1,102 @@
+"""One mutation per answer-computing route, each caught by the check that
+compares the route with an independent partner.
+
+Every mutation is monkeypatched in for one test; the check must pass on the
+real code and fail on the mutant, at a window small enough to take well
+under a second.
+"""
+
+import time
+from collections import Counter
+
+import pytest
+
+from corekit import consecutive, cores, residues, series, verify
+
+
+def census_without_binomial(monkeypatch):
+    # the size formula loses its -C(k, 2)
+    monkeypatch.setattr(
+        consecutive,
+        "_size_census",
+        lambda t: Counter(sum(s) for s in consecutive._walk_nice_subsets(t)),
+    )
+
+
+def walk_ignores_distinct(monkeypatch):
+    walk = cores._walk_cores
+    monkeypatch.setattr(
+        cores, "_walk_cores", lambda t, max_size, distinct, t2=None: walk(t, max_size, False, t2)
+    )
+
+
+def size_formula_off_by_one(monkeypatch):
+    size_of_vector = residues.size_of_vector
+    monkeypatch.setattr(
+        residues, "size_of_vector", lambda v: size_of_vector(v) + (v.total > 2)
+    )
+
+
+def sparse_walk_steps_by_one(monkeypatch):
+    def walk(t):
+        # consecutive._walk_nice_subsets with lo += 1: adjacent members allowed
+        subset, lo = [], 1
+        yield subset
+        while lo < t or subset:
+            if lo < t:
+                subset.append(lo)
+                yield subset
+                lo += 1
+            else:
+                lo = subset.pop() + 1
+
+    monkeypatch.setattr(consecutive, "_walk_nice_subsets", walk)
+
+
+def dp_one_byte_slots(monkeypatch):
+    bounds = series._residue_bounds
+
+    def narrow(t, limit):
+        k_max, top, caps, nodes, _, _ = bounds(t, limit)
+        return k_max, top, caps, nodes, 1, (k_max + 1) * (2 * top + 1)
+
+    monkeypatch.setattr(series, "_residue_bounds", narrow)
+
+
+def check(name, t_max, n_max=None):
+    """The registered check ``name`` at a small window: its detail or None."""
+
+    def run():
+        return verify.run_check(name, verify.checks_for("all")[name], t_max, n_max).detail
+
+    return run
+
+
+def dp_against_walk():
+    # slots of (16, 80) need 3 bytes; a narrower state overflows or wraps
+    try:
+        return verify._eq2_routes_differ(series.distinct_core_series_walk(16, 80))
+    except OverflowError as exc:
+        return f"dp route crashed: {exc!r}"
+
+
+CASES = {
+    "census-extremes": (census_without_binomial, check("tt1.extremes", 8), "observed max"),
+    "census-total": (census_without_binomial, check("tt1.total_size", 8), "closed form"),
+    "walk-distinct": (
+        walk_ignores_distinct, check("genfun.dfs_vs_oracle", 5, 20), "beta-set walk"
+    ),
+    "size-formula": (size_formula_off_by_one, check("eta.roundtrip", 5, 12), "size formula"),
+    "sparse-walk": (sparse_walk_steps_by_one, check("tt1.count_fibonacci", 8), "vs F_"),
+    "dp-slots": (dp_one_byte_slots, dp_against_walk, "dp route"),
+}
+
+
+@pytest.mark.parametrize(("mutate", "compare", "detail"), CASES.values(), ids=CASES.keys())
+def test_mutant_is_caught(monkeypatch, mutate, compare, detail):
+    assert compare() is None
+    mutate(monkeypatch)
+    started = time.perf_counter()
+    found = compare()
+    assert time.perf_counter() - started < 1.0
+    assert found is not None and detail in found, found

@@ -139,6 +139,17 @@ class TestEq2Routes:
             series.distinct_core_series_dp(2, series.SERIES_LIMIT_CAP)
         assert series.eq2_costs(2, series.SERIES_LIMIT_CAP)["dp"] == inf
 
+    def test_cap_admitted_at_small_t(self):
+        assert series._largest_admitted(2) == series._largest_admitted(3) == series.SERIES_LIMIT_CAP
+
+    @pytest.mark.parametrize("t", [6, 1000])
+    def test_refuses_past_largest_admitted(self, t):
+        # found from the estimates alone; the admitted request is not run
+        lo = series._largest_admitted(t)
+        assert min(series.eq2_costs(t, lo).values()) <= series.SERIES_BUDGET_S
+        with pytest.raises(ValueError, match=f"admitted at t={t} is {lo}$"):
+            distinct_core_series(t, lo + 1)
+
 
 class TestClosedForms:
     def test_mod_2(self):
