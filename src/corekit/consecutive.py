@@ -10,15 +10,17 @@ Every sweep over the sparse subsets reads one iterative walk,
 order, the empty set first, and a caller that keeps a subset copies it.
 ``_size_census`` reads every partition size off it, building no Partition.
 
-The statistics take O(t) big-int steps. ``total_size`` evaluates psi_n at
-n = t+1 in closed form,
+The statistics take O(log t) big-int steps, plus the size of their output.
+Each reads the pair (F_{n-1}, F_n) off ``_fib_pair``'s fast doubling, and
+``total_size`` evaluates psi_n at n = t+1 in closed form,
 
     psi_n = ((5n^2 - 3n - 2) F_n - 6n F_{n-1}) / 50,
 
-from a single Fibonacci pass. The direct convolutions (O(n) and O(n^2)
-products) stay public as independent oracles: ``verify`` rechecks the
-table's rows against them and compares all three routes. The ladder of
-:func:`sequence_table` starts from zeros at t = 0 and t = 1.
+from that one pair. ``maximizers`` writes its parts down directly. The
+direct convolutions (O(n) and O(n^2) products) stay public as independent
+oracles: ``verify`` rechecks the table's rows against them and compares all
+three routes. The ladder of :func:`sequence_table` starts from zeros at
+t = 0 and t = 1.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from .partitions import Partition, partition_of_beta, size_lex_key
+from .partitions import Partition, _trusted_partition, partition_of_beta, size_lex_key
 
 TABLE_CAP = 90
 # distinct_core_partitions holds F_{t+1} partitions: F_27 = 196 418 at the
@@ -46,11 +48,19 @@ def fibonacci(i: int) -> int:
 
 
 def _fib_pair(n: int) -> tuple[int, int]:
-    """(F_{n-1}, F_n) from one iterative pass, with F_{-1} = 1."""
-    a, b = 1, 0
-    for _ in range(n):
-        a, b = b, a + b
-    return a, b
+    """(F_{n-1}, F_n), with F_{-1} = 1, by fast doubling over the bits of n.
+
+    From (F_k, F_{k+1}), F_2k = F_k (2 F_{k+1} - F_k) and
+    F_{2k+1} = F_k^2 + F_{k+1}^2 double k, and a set bit steps it by one:
+    O(log n) big-int steps. ``_fib_table``'s plain recurrence is the
+    independent side that ``tt1.table`` checks ``fibonacci`` against.
+    """
+    a, b = 0, 1  # (F_k, F_{k+1}), from k = 0
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return b - a, a
 
 
 def _walk_nice_subsets(t: int) -> Iterator[list[int]]:
@@ -127,16 +137,16 @@ def maximizers(t: int) -> list[Partition]:
     """The partitions attaining the largest size, constructed directly.
 
     Each has beta-set {t-1, t-3, ..., t-(2k-1)}; the admissible k depend on
-    t mod 3 (both k and k+1 tie exactly when t = 1 mod 3).
+    t mod 3 (both k and k+1 tie exactly when t = 1 mod 3). That beta-set
+    decodes to the k consecutive parts t-k, t-k-1, ..., t-2k+1, all
+    positive as 2k <= t, so each is built on the trusted path and
+    ``tt1.extremes`` checks it against the census and ``Partition(...)``.
     """
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
     n, r = divmod(t, 3)
     ks = {0: [n], 1: [n, n + 1], 2: [n + 1]}[r]
-    return [
-        partition_of_beta(frozenset(t - (2 * i - 1) for i in range(1, k + 1)))
-        for k in ks
-    ]
+    return [_trusted_partition(tuple(range(t - k, t - 2 * k, -1))) for k in ks]
 
 
 def fibonacci_convolution(n: int) -> int:
@@ -181,8 +191,9 @@ def _total_and_count(t: int) -> tuple[int, int]:
 def total_size(t: int) -> int:
     """Sum of sizes over all distinct-part partitions avoiding hooks t, t+1.
 
-    This is the triple Fibonacci convolution psi_{t+1}, evaluated in O(t)
-    as ((5n^2 - 3n - 2) F_n - 6n F_{n-1}) / 50 with n = t+1. The direct
+    This is the triple Fibonacci convolution psi_{t+1}, evaluated in
+    O(log t) big-int steps as ((5n^2 - 3n - 2) F_n - 6n F_{n-1}) / 50 with
+    n = t+1, from one fast-doubling pair. The direct
     O(t^2) sum, :func:`fibonacci_triple_convolution`, is kept as the oracle
     that ``verify`` checks this against.
     """

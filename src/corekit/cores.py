@@ -18,10 +18,16 @@ off the ascending beta-set and builds its Partitions through
 ``partitions._trusted_partition``, which skips validation, and ``verify``'s
 pair-core checks test the walk's beta-sets with no Partition at all.
 :func:`enumerate_partitions` builds through the same trusted path: its two
-walks write positive, weakly decreasing parts by construction. The public
-``Partition(...)`` and ``partition_of_beta`` keep validating. In every
-cross-check at most one side takes the trusted path: the other side of
-``tt1.count_fibonacci``'s enumerator comparison,
+walks write positive, weakly decreasing parts by construction. Two more
+producers take a trusted path. ``consecutive.maximizers`` writes its
+consecutive parts down directly, and ``tt1.extremes`` checks each against
+the size census, the hook-length test and ``Partition(...)``. The eq2
+routes of :mod:`corekit.series` return through ``series._trusted_series``,
+and ``genfun.dfs_vs_oracle`` and ``genfun.dfs_vs_closed`` compare them with
+validated series from a hook scan and from the closed forms. The public
+``Partition(...)``, ``partition_of_beta`` and ``CoefficientSeries(...)``
+keep validating. In every cross-check at most one side takes the trusted
+path: the other side of ``tt1.count_fibonacci``'s enumerator comparison,
 ``consecutive.distinct_core_partitions``, builds through
 ``partition_of_beta``.
 

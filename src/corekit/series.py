@@ -14,6 +14,8 @@ Three routes are kept side by side on purpose:
   there are many. Neither runs the beta-set walk of :mod:`corekit.cores`,
   whose census ``verify`` compares with both. Only the dispatcher has a
   budget, :data:`SERIES_BUDGET_S`, and refuses requests estimated over it.
+  Both routes write exact counts by construction, so their results skip
+  :class:`CoefficientSeries`' validation (``_trusted_series``).
 * :func:`distinct_core_series_closed` expands explicit exponent formulas
   that exist for t = 2, 3, 4,
 * :func:`distinct_core_series_brute` filters raw partitions by hook lengths.
@@ -51,6 +53,9 @@ WALK_NODE_S = 0.15e-6  # per node of the walk's node bound
 DP_WORD_S = 3.0e-9  # per 64-bit word of state a big-int shift, add or mask reads
 DP_OP_S = 1.0e-6  # per big-int operation, on top of its words
 
+# (k_max, top, caps, nodes, width, state_bytes): one eq2 request, derived once
+_Bounds = tuple[int, int, list[int], int, int, int]
+
 
 @dataclass(frozen=True)
 class CoefficientSeries:
@@ -79,6 +84,18 @@ class CoefficientSeries:
         return {"t": self.t, "limit": self.limit, "coeffs": list(self.coeffs)}
 
 
+def _trusted_series(coeffs: tuple[int, ...], t: int) -> CoefficientSeries:
+    """A CoefficientSeries built without validation, for the eq2 routes,
+    whose nonempty tuple of counts is exact ``int``s >= 0 by construction.
+    Everything else goes through ``CoefficientSeries(...)``, which
+    validates; the closed and brute routes, the oracle sides of ``verify``'s
+    eq2 comparisons, keep doing so."""
+    series = object.__new__(CoefficientSeries)
+    object.__setattr__(series, "coeffs", coeffs)
+    object.__setattr__(series, "t", t)
+    return series
+
+
 def _check_args(t: int, limit: int) -> None:
     if t < 2:
         raise ValueError(f"need t >= 2, got {t}")
@@ -103,9 +120,13 @@ def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
 
     Runs whichever eq2 route :func:`eq2_costs` estimates cheaper; both are
     exact. Raises ValueError when that estimate exceeds
-    :data:`SERIES_BUDGET_S`; call a route directly to run past it.
+    :data:`SERIES_BUDGET_S`; call a route directly to run past it. The
+    request is derived once, by :func:`_residue_bounds`, for the estimate
+    and the route.
     """
-    costs = eq2_costs(t, limit)
+    _check_args(t, limit)
+    bounds = _residue_bounds(t, limit)
+    costs = _costs(bounds)
     route = min(costs, key=costs.get)
     if costs[route] > SERIES_BUDGET_S:
         # the float's shortest repr: never rounds down to the budget
@@ -114,7 +135,7 @@ def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
             f"{SERIES_BUDGET_S:g} s budget; the largest limit admitted at t={t} is "
             f"{_largest_admitted(t)}"
         )
-    return EQ2_ROUTES[route](t, limit)
+    return _BOUNDED_ROUTES[route](t, limit, bounds)
 
 
 def _largest_admitted(t: int) -> int:
@@ -140,7 +161,11 @@ def distinct_core_series_walk(t: int, limit: int) -> CoefficientSeries:
     are exact.
     """
     _check_args(t, limit)
-    _, top, caps, _, _, _ = _residue_bounds(t, limit)
+    return _walk(t, limit, _residue_bounds(t, limit))
+
+
+def _walk(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
+    _, top, caps, _, _, _ = bounds
     positions = len(caps)
     coeffs = [0] * (limit + 1)
     coeffs[0] = 1
@@ -172,7 +197,7 @@ def distinct_core_series_walk(t: int, limit: int) -> CoefficientSeries:
                         break
                     grow += t
                     stack.append((j + 2, k + m, a + g))
-    return CoefficientSeries(tuple(coeffs), t=t)
+    return _trusted_series(tuple(coeffs), t)
 
 
 def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
@@ -191,7 +216,11 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
     every A > top and every K > k_max.
     """
     _check_args(t, limit)
-    k_max, top, caps, _, width, state_bytes = _residue_bounds(t, limit)
+    return _dp(t, limit, _residue_bounds(t, limit))
+
+
+def _dp(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
+    k_max, top, caps, _, width, state_bytes = bounds
     if state_bytes > DP_STATE_BYTES_CAP:
         raise ValueError(
             f"residue DP state for t={t}, limit={limit} exceeds {DP_STATE_BYTES_CAP} bytes"
@@ -215,10 +244,11 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
         packed += int.from_bytes(raw[start : start + span], "little")
     raw = packed.to_bytes(span, "little")
     coeffs = tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, span, width))
-    return CoefficientSeries(coeffs, t=t)
+    return _trusted_series(coeffs, t)
 
 
 EQ2_ROUTES = {"walk": distinct_core_series_walk, "dp": distinct_core_series_dp}
+_BOUNDED_ROUTES = {"walk": _walk, "dp": _dp}  # each route on bounds already derived
 
 
 def eq2_costs(t: int, limit: int) -> dict[str, float]:
@@ -231,7 +261,11 @@ def eq2_costs(t: int, limit: int) -> dict[str, float]:
     estimate is infinite where it would refuse.
     """
     _check_args(t, limit)
-    _, _, caps, nodes, _, state_bytes = _residue_bounds(t, limit)
+    return _costs(_residue_bounds(t, limit))
+
+
+def _costs(bounds: _Bounds) -> dict[str, float]:
+    _, _, caps, nodes, _, state_bytes = bounds
     # past 64 KiB a word costs a third more, and faulting in the fresh pages
     # each new int lands on costs about three more passes per position
     big = state_bytes > 1 << 16
@@ -242,7 +276,7 @@ def eq2_costs(t: int, limit: int) -> dict[str, float]:
     return {"walk": walk_s, "dp": dp_s if state_bytes <= DP_STATE_BYTES_CAP else inf}
 
 
-def _residue_bounds(t: int, limit: int) -> tuple[int, int, list[int], int, int, int]:
+def _residue_bounds(t: int, limit: int) -> _Bounds:
     """``(k_max, top, caps, nodes, width, state_bytes)``: the one derivation
     of an eq2 request, for both routes and :func:`eq2_costs`.
 

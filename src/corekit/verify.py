@@ -284,10 +284,14 @@ def check_extremes(t_max: int) -> str | None:
             return f"t={t}: observed max {top} vs formula {consecutive.largest_size(t)}"
         if census[top] != consecutive.maximizer_count(t):
             return f"t={t}: {census[top]} maximizers vs formula {consecutive.maximizer_count(t)}"
-        # census[top] distinct cores of size top are all there are: the scan's maximizers
+        # census[top] distinct cores of size top are all there are: the scan's
+        # maximizers; the validating constructor re-checks the trusted build
         built = consecutive.maximizers(t)
         if len(set(built)) != len(built) or len(built) != census[top] or not all(
-            p.size == top and p.has_distinct_parts() and cores.is_core(p, (t, t + 1))
+            Partition(p.parts) == p
+            and p.size == top
+            and p.has_distinct_parts()
+            and cores.is_core(p, (t, t + 1))
             for p in built
         ):
             return f"t={t}: constructed maximizers differ from scan"

@@ -18,12 +18,14 @@ from corekit import (
     largest_size,
     maximizer_count,
     maximizers,
+    partition_of_beta,
     sequence_table,
     size_from_beta,
     total_size,
 )
 from corekit.consecutive import (
     _POPULATION_CAP,
+    _fib_pair,
     _size_census,
     _walk_nice_subsets,
     iter_nice_subsets,
@@ -45,6 +47,14 @@ class TestFibonacci:
     @settings(max_examples=20)
     def test_recurrence(self, i):
         assert fibonacci(i) == fibonacci(i - 1) + fibonacci(i - 2)
+
+    def test_fast_doubling_matches_the_iterative_pass(self):
+        # a frozen copy of the n-step pass fast doubling replaced, stepped
+        # once per n instead of rerun from 0
+        a, b = 1, 0
+        for n in range(2001):
+            assert _fib_pair(n) == (a, b), n
+            a, b = b, a + b
 
 
 class TestNiceSubsets:
@@ -140,6 +150,21 @@ class TestExtremes:
         assert [p.parts for p in maximizers(4)] == [(3,), (2, 1)]
         assert [p.parts for p in maximizers(3)] == [(2,)]
         assert [p.parts for p in maximizers(2)] == [(1,)]
+
+    def test_maximizers_match_the_beta_set_construction(self):
+        # a frozen copy of the construction through the validating partition_of_beta
+        def through_beta_sets(t):
+            n, r = divmod(t, 3)
+            ks = {0: [n], 1: [n, n + 1], 2: [n + 1]}[r]
+            return [
+                partition_of_beta(frozenset(t - (2 * i - 1) for i in range(1, k + 1)))
+                for k in ks
+            ]
+
+        for t in range(2, 501):
+            built = maximizers(t)
+            assert built == through_beta_sets(t), t
+            assert all(Partition(p.parts) == p for p in built), t
 
     @given(st.integers(2, 16))
     @settings(max_examples=15)

@@ -6,12 +6,26 @@ real code and fail on the mutant, at a window small enough to take well
 under a second.
 """
 
+import __future__
+import inspect
+import textwrap
 import time
 from collections import Counter
 
 import pytest
 
 from corekit import consecutive, cores, residues, series, verify
+
+
+def source_mutant(module, name, old, new):
+    """A mutation that rewrites one fragment of ``module.name``'s source: a
+    monkeypatch that swaps in the function compiled from the edited source."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, f"{old!r} is not a fragment of {name}"
+    namespace = dict(vars(module))
+    flags = __future__.annotations.compiler_flag
+    exec(compile(source.replace(old, new), module.__file__, "exec", flags, True), namespace)
+    return lambda monkeypatch: monkeypatch.setattr(module, name, namespace[name])
 
 
 def census_without_binomial(monkeypatch):
@@ -63,6 +77,30 @@ def dp_one_byte_slots(monkeypatch):
     monkeypatch.setattr(series, "_residue_bounds", narrow)
 
 
+def psi_plus_fib_past_20(monkeypatch):
+    total_and_count = consecutive._total_and_count
+
+    def mutated(t):
+        psi, f = total_and_count(t)
+        return (psi + f if t + 1 > 20 else psi), f
+
+    monkeypatch.setattr(consecutive, "_total_and_count", mutated)
+
+
+# every ladder quantity seeded 1 at t = 1 instead of 0
+ladder_seed_one = source_mutant(
+    consecutive, "sequence_table", "([0, 0] for _ in range(5))", "([0, 1] for _ in range(5))"
+)
+# a fast-doubling step taken on the clear bits instead of the set ones
+doubling_parity_swapped = source_mutant(
+    consecutive, "_fib_pair", 'if bit == "1":', 'if bit == "0":'
+)
+# every maximizer part one larger
+maximizer_parts_shifted = source_mutant(
+    consecutive, "maximizers", "range(t - k, t - 2 * k, -1)", "range(t - k + 1, t - 2 * k + 1, -1)"
+)
+
+
 def check(name, t_max, n_max=None):
     """The registered check ``name`` at a small window: its detail or None."""
 
@@ -89,6 +127,12 @@ CASES = {
     "size-formula": (size_formula_off_by_one, check("eta.roundtrip", 5, 12), "size formula"),
     "sparse-walk": (sparse_walk_steps_by_one, check("tt1.count_fibonacci", 8), "vs F_"),
     "dp-slots": (dp_one_byte_slots, dp_against_walk, "dp route"),
+    "psi-past-20": (psi_plus_fib_past_20, check("tt1.total_size", 20), "closed form"),
+    "ladder-seed": (ladder_seed_one, check("tt1.table", 8), "recurrence/definitional mismatch"),
+    "fib-doubling": (doubling_parity_swapped, check("tt1.table", 8), "a != F_("),
+    "maximizer-parts": (
+        maximizer_parts_shifted, check("tt1.extremes", 8), "constructed maximizers differ"
+    ),
 }
 
 

@@ -47,6 +47,11 @@ class TestSeriesType:
         with pytest.raises(ValueError):
             CoefficientSeries((True,))
 
+    def test_rejects_float_coefficients(self):
+        # with the three tests above, what the eq2 routes' _trusted_series skips
+        with pytest.raises(ValueError):
+            CoefficientSeries((1, 1.0))
+
     def test_json_dict(self):
         s = CoefficientSeries((1, 1, 1, 0, 1), t=3)
         assert s.to_json_dict() == {"t": 3, "limit": 4, "coeffs": [1, 1, 1, 0, 1]}
@@ -97,6 +102,17 @@ class TestEq2Routes:
             walk = series.distinct_core_series_walk(t, limit)
             assert walk.coeffs == tuple(census[: limit + 1]), f"t={t} limit={limit}"
             assert walk == series.distinct_core_series_dp(t, limit), f"t={t} limit={limit}"
+
+    @pytest.mark.parametrize("route", sorted(series.EQ2_ROUTES))
+    def test_trusted_routes_write_exact_counts(self, route):
+        # what CoefficientSeries would validate, on the results that skip it;
+        # (16, 80) has multi-byte DP slots
+        grid = [(t, limit) for t in (2, 3, 5, 8) for limit in (0, 1, 7, 60, 250)]
+        for t, limit in grid + [(13, 60), (16, 80)]:
+            s = series.EQ2_ROUTES[route](t, limit)
+            assert type(s.coeffs) is tuple and len(s.coeffs) == limit + 1
+            assert all(type(c) is int and c >= 0 for c in s.coeffs), (t, limit)
+            assert s.t == t and s == CoefficientSeries(s.coeffs, t=t)
 
     @pytest.mark.parametrize("t", range(2, 17))
     def test_dp_equals_walk(self, t):

@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from corekit import Partition, consecutive, verify
+from corekit.partitions import _trusted_partition
 from corekit.verify import Bound, Check
 
 # (t_max, n_max) requests: the defaults, the CLI's floor and the CLI's caps.
@@ -155,6 +156,16 @@ def test_extremes_catches_wrong_maximizers(monkeypatch, t, bad):
 
     monkeypatch.setattr(consecutive, "maximizers", replaced)
     assert verify.check_extremes(t_max=12) == f"t={t}: constructed maximizers differ from scan"
+
+
+def test_extremes_revalidates_trusted_maximizers(monkeypatch):
+    # (2, True) has the size, distinct parts and hooks of (2, 1); only the
+    # validating constructor sees the bool, and the check fails on its error
+    original = consecutive.maximizers
+    bad = [_trusted_partition((3,)), _trusted_partition((2, True))]
+    monkeypatch.setattr(consecutive, "maximizers", lambda s: bad if s == 4 else original(s))
+    report = verify.run_check("tt1.extremes", verify.checks_for("tt1")["tt1.extremes"], 12)
+    assert not report.passed and "got True" in report.detail, report.detail
 
 
 def test_size_checks_build_no_population():
