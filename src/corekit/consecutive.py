@@ -229,10 +229,6 @@ class SequenceRow:
 class SequenceTable:
     rows: tuple[SequenceRow, ...]
 
-    @property
-    def t_max(self) -> int:
-        return self.rows[-1].t
-
     def row(self, t: int) -> SequenceRow:
         return self.rows[t - 2]
 

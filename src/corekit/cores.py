@@ -8,9 +8,11 @@ suite.
 
 :func:`_walk_cores`, one walk over the beta-sets closed under subtracting
 one or two moduli, lists the (t1, t2)-cores here and the t-cores behind
-:mod:`corekit.residues`. Its distinct-part size census is the third side of
-``verify``'s comparison of the two eq2 routes of :mod:`corekit.series`,
-neither of which runs it.
+:mod:`corekit.residues`. It keeps only each beta-set and its size, and
+its callers derive anything else from the beta-set; its buffer is sized by
+the size budget, never by a modulus. Its distinct-part size census is the
+third side of ``verify``'s comparison of the two eq2 routes of
+:mod:`corekit.series`, neither of which runs it.
 
 The walks' output is trusted, because a partition they build is valid by
 construction. :func:`enumerate_simultaneous_cores` reads each part straight
@@ -180,7 +182,7 @@ def enumerate_simultaneous_cores(
     # beta ascending as b_0 < ... < b_{k-1}: part j is b_j - j, smallest first
     found = [
         (tuple([b - j for j, b in enumerate(beta)][::-1]), size)
-        for beta, _, size in _walk_cores(t1, olsson_stanton_max(t1, t2), distinct_only, t2)
+        for beta, size in _walk_cores(t1, olsson_stanton_max(t1, t2), distinct_only, t2)
     ]
     found.sort(reverse=True)  # descending-lex parts; no two cores share them
     found.sort(key=itemgetter(1))  # stable, so each size keeps that order
@@ -189,15 +191,13 @@ def enumerate_simultaneous_cores(
 
 def _walk_cores(
     t: int, max_size: int, distinct: bool, t2: int | None = None
-) -> Iterator[tuple[list[int], list[int], int]]:
-    """``(beta, counts, size)`` for every t-core of size <= ``max_size``, or
-    every (t, t2)-core when ``t2`` is given; only the ones with distinct
-    parts when ``distinct``.
+) -> Iterator[tuple[list[int], int]]:
+    """``(beta, size)`` for every t-core of size <= ``max_size``, or every
+    (t, t2)-core when ``t2`` is given; only the ones with distinct parts when
+    ``distinct``.
 
-    ``beta`` is the beta-set in ascending order and ``counts[i - 1]`` the
-    number of its elements congruent to i modulo the smaller modulus, the
-    residue vector of a t-core. Both lists are the walk's own and change at
-    the next step, so a caller that keeps one copies it.
+    ``beta`` is the beta-set in ascending order. The list is the walk's own
+    and changes at the next step, so a caller that keeps it copies it.
 
     Elements are added in ascending order. A value v may join iff v is not a
     modulus, v - m is present for every modulus m < v, and, for distinct
@@ -208,16 +208,18 @@ def _walk_cores(
     it by ``max_size``. The stack is explicit: at t = 2 the walk is
     sqrt(2 * max_size) deep.
     """
-    low, high = (t, t) if t2 is None else sorted((t, t2))
+    # every candidate is <= max_size, so a modulus above it is never one and
+    # only ever tests a negative index: clamping it changes no answer, and the
+    # buffer below holds at most 2 * max_size + 2 bytes whatever the moduli
+    low, high = sorted(min(m, max_size + 1) for m in (t, t if t2 is None else t2))
     # present[high + x] is 1 iff x is in the beta-set; the prefix reads every
     # x < 0 as present and x = 0 as absent, so each closure test is one index
     present = bytearray(b"\x01" * high) + bytearray(max_size + 1)
     to_low, to_prev = high - low, high - 1  # v - high is at index v
     beta: list[int] = []
-    counts = [0] * (low - 1)  # no element is a multiple of low: 0 is absent
     size = 0
     v = 1  # the next candidate to follow beta[-1]
-    yield beta, counts, size
+    yield beta, size
     while True:
         k = len(beta)
         hi = min((beta[-1] if k else 0) + low, max_size - size + k)
@@ -228,13 +230,11 @@ def _walk_cores(
         if v <= hi:
             beta.append(v)
             present[v + high] = 1
-            counts[v % low - 1] += 1
             size += v - k
-            yield beta, counts, size
+            yield beta, size
         elif k:
             v = beta.pop()
             present[v + high] = 0
-            counts[v % low - 1] -= 1
             size -= v - k + 1
         else:
             return

@@ -8,9 +8,11 @@ bijective encoding of t-cores, and the partition size has the closed form
 implemented by :func:`size_of_vector`. Distinct-part t-cores correspond
 exactly to vectors whose support contains no two adjacent residues.
 
-:func:`iter_core_vectors` lists the vectors up to a size budget with the
-beta-set walk of :mod:`corekit.cores`, the one that also enumerates
-(t1, t2)-cores; restricted to separated support, the same walk lists
+This module owns the encoding: :func:`_vector_of_beta` reads the counts
+off a beta-set, the one place the residue indexing is written.
+:func:`iter_core_vectors` applies it to the beta-set walk of
+:mod:`corekit.cores`, which also enumerates (t1, t2)-cores and yields only
+beta-sets and sizes; restricted to distinct parts, the same walk lists
 :func:`corekit.series.iter_distinct_core_vectors`. The two routes of the
 eq2 series in :mod:`corekit.series`, a walk over vector prefixes and a DP,
 count the same vectors without listing them, and ``verify`` checks both
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import pairwise
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .cores import _walk_cores, abacus_is_t_core
 from .partitions import Partition, beta_set, partition_of_beta
@@ -66,8 +68,14 @@ def residue_vector(p: Partition, t: int) -> ResidueVector:
     bs = beta_set(p)
     if not abacus_is_t_core(bs, t):
         raise ValueError(f"{p!r} has a hook of length {t}; not encodable mod {t}")
+    return _vector_of_beta(bs, t)
+
+
+def _vector_of_beta(beta: Iterable[int], t: int) -> ResidueVector:
+    """The residue vector of a t-core's beta-set: ``counts[i - 1]`` of its
+    elements are congruent to i modulo t (none is a multiple of t)."""
     counts = [0] * (t - 1)
-    for x in bs:
+    for x in beta:
         counts[x % t - 1] += 1
     return ResidueVector(t, tuple(counts))
 
@@ -110,5 +118,4 @@ def iter_core_vectors(t: int, max_size: int) -> Iterator[ResidueVector]:
         raise ValueError(f"modulus must be >= 2, got {t}")
     if max_size < 0:
         raise ValueError(f"max_size must be >= 0, got {max_size}")
-    for _, counts, _ in _walk_cores(t, max_size, False):
-        yield ResidueVector(t, counts)
+    return (_vector_of_beta(beta, t) for beta, _ in _walk_cores(t, max_size, False))

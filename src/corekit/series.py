@@ -33,7 +33,7 @@ from math import ceil, comb, inf, isqrt, log, pi, sqrt
 from typing import Iterator
 
 from .cores import _walk_cores, enumerate_partitions, is_core
-from .residues import ResidueVector
+from .residues import ResidueVector, _vector_of_beta
 
 SERIES_LIMIT_CAP = 1_000_000
 BRUTE_FORCE_CAP = 60
@@ -112,7 +112,7 @@ def iter_distinct_core_vectors(t: int, limit: int) -> Iterator[ResidueVector]:
     :func:`corekit.residues.iter_core_vectors`, restricted to distinct parts.
     """
     _check_args(t, limit)
-    return (ResidueVector(t, counts) for _, counts, _ in _walk_cores(t, limit, True))
+    return (_vector_of_beta(beta, t) for beta, _ in _walk_cores(t, limit, True))
 
 
 def distinct_core_series(t: int, limit: int) -> CoefficientSeries:

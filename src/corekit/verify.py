@@ -101,7 +101,7 @@ def check_pair_core_band(t_max: int) -> str | None:
             x for k in range(1, t) for x in range((k - 1) * (t + 1) + 1, k * t)
         )
         walked = 0
-        for beta, _, _ in cores._walk_cores(t, cores.olsson_stanton_max(t, t + 1), False, t + 1):
+        for beta, _ in cores._walk_cores(t, cores.olsson_stanton_max(t, t + 1), False, t + 1):
             walked += 1
             if not band.issuperset(beta):
                 p, stray = partition_of_beta(beta), min(set(beta) - band)
@@ -114,7 +114,7 @@ def check_pair_core_band(t_max: int) -> str | None:
 def check_distinct_pair_reach(t_max: int) -> str | None:
     for t in range(2, t_max + 1):
         walked = 0
-        for beta, _, _ in cores._walk_cores(t, cores.olsson_stanton_max(t, t + 1), True, t + 1):
+        for beta, _ in cores._walk_cores(t, cores.olsson_stanton_max(t, t + 1), True, t + 1):
             walked += 1
             if beta and beta[-1] >= t:  # ascending: the last element is the largest
                 return f"t={t}: {partition_of_beta(beta)!r} has beta element {beta[-1]} >= t"
@@ -205,7 +205,7 @@ def check_dfs_vs_oracle(t_max: int, limit: int) -> str | None:
             return detail
         # the beta-set walk's distinct mode, which no eq2 route runs
         census = [0] * (limit + 1)
-        for _, _, size in cores._walk_cores(t, limit, True):
+        for _, size in cores._walk_cores(t, limit, True):
             census[size] += 1
         detail = series.compare_series(series.CoefficientSeries(tuple(census), t=t), expected)
         if detail:

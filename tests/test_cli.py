@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,8 +8,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corekit import beta_set, cli, cores, enumerate_partitions, series, verify
+from corekit import beta_set, cli, consecutive, cores, enumerate_partitions, series, verify
 
 # A child interpreter imports the corekit under test from its source tree.
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -36,7 +40,7 @@ def distinct_census(t, limit):
     """Distinct-part t-cores per size, from the beta-set walk, which shares
     no code with either eq2 route."""
     census = [0] * (limit + 1)
-    for _, _, size in cores._walk_cores(t, limit, True):
+    for _, size in cores._walk_cores(t, limit, True):
         census[size] += 1
     return census
 
@@ -221,6 +225,13 @@ class TestEnumerateCommand:
         expect_usage_error(["enumerate", "--t1", "20000", "--t2", "20001"])
         assert time.perf_counter() - started < 1.0
         assert "cells; cap is 50" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("distinct", [[], ["--distinct"]], ids=["all", "distinct"])
+    def test_pair_with_one_answers_at_once(self, capsys, distinct):
+        # every nonempty partition has a corner box of hook length 1, so the
+        # empty partition is the one core, however large the partner
+        argv = ["enumerate", "--t1", "1", "--t2", str(10**21), *distinct]
+        assert run_within_budget(capsys, argv, budget_s=1.0) == "parts=[] size=0 beta=[]\n"
 
     @pytest.mark.parametrize("pair", [(9, 13), (8, 15), (2, 101)])
     def test_cap_within_budget(self, capsys, pair):
@@ -421,3 +432,95 @@ def test_closed_stdout_exits_quietly(argv):
 
 def test_missing_command_is_usage_error():
     expect_usage_error([])
+
+
+# Every numeric option with the largest value its parser or library admits.
+# enumerate caps the pair's gap cells, not t1 or t2: (2, 101) is the largest
+# pair with 2 and at most 50 cells. stats caps --t at 10 000 in the parser.
+NUMERIC_OPTIONS = {
+    "series": {"--t": cli.SERIES_T_CAP, "--limit": series.SERIES_LIMIT_CAP},
+    "enumerate": {"--t1": 101, "--t2": 101},
+    "stats": {"--t": 10_000},
+    "table": {"--t-max": consecutive.TABLE_CAP},
+    "verify": {"--t-max": cli.T_MAX_CAP, "--n-max": cli.N_MAX_CAP, "--jobs": 256},
+}
+CHOICE_OPTIONS = {
+    "series": {"--method": tuple(cli.SERIES_METHODS), "--format": ("json", "text")},
+    "enumerate": {"--format": ("json", "text")},
+    "stats": {"--format": ("json", "text")},
+    "table": {"--format": ("csv", "json")},
+    "verify": {"--suite": (*verify.SUITE_NAMES, "all"), "--format": ("json", "text")},
+}
+# int() takes the Arabic-Indic three and "1_0"; a 5000-digit number is over
+# its default 4300-digit limit
+JUNK = ("", "abc", "1.5", "1e3", "0x10", "--", "\u0663", "1_0")
+
+
+def edge_values(cap):
+    """An option's values: omitted (None), its edges, sizes no machine int
+    holds, and junk."""
+    return st.sampled_from(
+        (None, "0", "1", "2", str(cap), str(cap + 1), "-1", str(10**21), "1" + "0" * 4999, *JUNK)
+    )
+
+
+@st.composite
+def argvs(draw, command):
+    """``command`` with each option omitted, at an edge value, or junk."""
+    argv = [command]
+    for option, cap in NUMERIC_OPTIONS[command].items():
+        value = draw(edge_values(cap))
+        if value is not None:
+            argv += [option, value]
+    for option, choices in CHOICE_OPTIONS[command].items():
+        value = draw(st.sampled_from((None, *choices, "junk")))
+        if value is not None:
+            argv += [option, value]
+    if command == "enumerate" and draw(st.booleans()):
+        argv.append("--distinct")
+    return argv
+
+
+def accepted_at_cap_work(argv):
+    """Accepted commands that take seconds or more, which the within-budget
+    tests time instead: a series admitted at the limit cap, and verify at
+    any bound past 3 or left at its default (about 10 s, minutes at its
+    caps)."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args = cli._build_parser().parse_args(argv)
+    except SystemExit:
+        return False  # a usage error
+    if args.command == "series":
+        return args.limit == series.SERIES_LIMIT_CAP and args.t <= 3
+    if args.command == "verify":
+        bounds = (args.t_max, args.n_max)
+        return None in bounds or max(bounds) > 3
+    return False
+
+
+class TestArgvEdges:
+    """Every subcommand answers or refuses each edge value at once: exit 0,
+    1 or 2 and no traceback."""
+
+    @pytest.mark.parametrize("command", sorted(NUMERIC_OPTIONS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_answers_or_refuses_within_budget(self, command, data):
+        argv = data.draw(argvs(command))
+        if accepted_at_cap_work(argv):
+            return
+        out, err = io.StringIO(), io.StringIO()
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert time.perf_counter() - started < 1.0, argv
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert "error:" in err.getvalue(), argv
+        else:
+            assert out.getvalue(), argv

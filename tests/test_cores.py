@@ -1,3 +1,5 @@
+import tracemalloc
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -241,11 +243,22 @@ class TestSimultaneousCores:
             t2, t1, distinct
         )
 
-    @pytest.mark.parametrize("t", [2, 3, 7, 40])
+    @pytest.mark.parametrize("t", [2, 3, 7, 40, 10**21])
     @pytest.mark.parametrize("distinct", [False, True])
     def test_modulus_one_leaves_only_empty(self, t, distinct):
         assert enumerate_simultaneous_cores(1, t, distinct) == [EMPTY]
         assert enumerate_simultaneous_cores(t, 1, distinct) == [EMPTY]
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_modulus_one_costs_nothing_at_a_huge_partner(self, distinct):
+        # the walk's buffer follows its size budget, 0 here, not the moduli
+        tracemalloc.start()
+        try:
+            assert enumerate_simultaneous_cores(1, 10**9, distinct) == [EMPTY]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     # distinct-part (s, t)-core counts for s = 2..8, the regression data for
     # the (s, ds +- 1) generalisations of the (t, t+1) results
@@ -277,6 +290,20 @@ TRUSTED_PAIRS = [
 ] + [(10, 11)]
 
 
+class TestWalkModuli:
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_modulus_past_the_budget_cuts_nothing(self, distinct):
+        # no hook of a partition of n exceeds n, so every partition of size
+        # <= max_size is a core for any modulus above max_size, however large
+        for max_size in range(13):
+            expected = Counter(
+                p.size for n in range(max_size + 1) for p in enumerate_partitions(n, distinct)
+            )
+            for t, t2 in [(max_size + 1, None), (max_size + 2, None), (10**21, 10**21 + 1)]:
+                walk = _walk_cores(t, max_size, distinct, t2)
+                assert Counter(size for _, size in walk) == expected, (max_size, t, t2)
+
+
 class TestTrustedPath:
     """The enumerator decodes the walk's beta-sets itself and builds its
     Partitions without validation; the validating decoder is the oracle."""
@@ -285,7 +312,7 @@ class TestTrustedPath:
     def test_parts_match_validating_decoder(self, distinct):
         for t1, t2 in TRUSTED_PAIRS:
             walk = _walk_cores(t1, olsson_stanton_max(t1, t2), distinct, t2)
-            expected = sorted((partition_of_beta(beta) for beta, _, _ in walk), key=size_lex_key)
+            expected = sorted((partition_of_beta(beta) for beta, _ in walk), key=size_lex_key)
             found = enumerate_simultaneous_cores(t1, t2, distinct)
             assert [p.parts for p in found] == [p.parts for p in expected], (t1, t2)
             for p in found:

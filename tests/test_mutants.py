@@ -100,6 +100,16 @@ maximizer_parts_shifted = source_mutant(
     consecutive, "maximizers", "range(t - k, t - 2 * k, -1)", "range(t - k + 1, t - 2 * k + 1, -1)"
 )
 
+# moduli clamped to the size budget instead of one above it: a modulus of
+# max_size + 1 or more then turns the largest candidate away
+walk_clamps_at_budget = source_mutant(
+    cores, "_walk_cores", "min(m, max_size + 1)", "min(m, max_size)"
+)
+# each residue class recorded as present instead of counted
+residue_presence_not_count = source_mutant(
+    residues, "_vector_of_beta", "counts[x % t - 1] += 1", "counts[x % t - 1] = 1"
+)
+
 
 def check(name, t_max, n_max=None):
     """The registered check ``name`` at a small window: its detail or None."""
@@ -130,6 +140,10 @@ CASES = {
     "psi-past-20": (psi_plus_fib_past_20, check("tt1.total_size", 20), "closed form"),
     "ladder-seed": (ladder_seed_one, check("tt1.table", 8), "recurrence/definitional mismatch"),
     "fib-doubling": (doubling_parity_swapped, check("tt1.table", 8), "a != F_("),
+    "walk-clamp": (walk_clamps_at_budget, check("kernel.pair_enumeration", 2), "enumerated 1"),
+    "residue-presence": (
+        residue_presence_not_count, check("eta.roundtrip", 2, 3), "roundtrip broke"
+    ),
     "maximizer-parts": (
         maximizer_parts_shifted, check("tt1.extremes", 8), "constructed maximizers differ"
     ),

@@ -15,6 +15,7 @@ from corekit import (
     size_of_vector,
 )
 from corekit.cores import _walk_cores
+from corekit.residues import _vector_of_beta
 
 FIGURE_PARTITION = Partition((5, 3, 3, 2, 1))
 FIGURE_VECTOR = ResidueVector(8, (2, 0, 1, 0, 1, 1, 0))
@@ -138,15 +139,16 @@ class TestIterCoreVectors:
 
 def _walk_core_vectors(t, max_size, distinct):
     """``(counts, size)`` at every node of the shared walk under modulus t."""
-    for _, counts, size in _walk_cores(t, max_size, distinct):
-        yield tuple(counts), size
+    for beta, size in _walk_cores(t, max_size, distinct):
+        yield _vector_of_beta(beta, t).counts, size
 
 
 class TestWalkCoreVectors:
     """The shared walk against the independent size formula and support test.
 
-    ``distinct_core_series`` counts the walk's running sizes without
-    recomputing them, so they are checked here against ``size_of_vector``.
+    ``verify``'s size census and the pair-core enumerator use the walk's
+    running sizes without recomputing them, so they are checked here
+    against ``size_of_vector``.
     """
 
     TOP = 25

@@ -96,12 +96,23 @@ class TestEq2Routes:
         # that of (7, 0, 2) is 65. The beta-set walk's census at one limit
         # holds every smaller one as a prefix.
         census = [0] * 201
-        for _, _, size in _walk_cores(t, 200, True):
+        for _, size in _walk_cores(t, 200, True):
             census[size] += 1
         for limit in range(201):
             walk = series.distinct_core_series_walk(t, limit)
             assert walk.coeffs == tuple(census[: limit + 1]), f"t={t} limit={limit}"
             assert walk == series.distinct_core_series_dp(t, limit), f"t={t} limit={limit}"
+
+    @pytest.mark.parametrize(("t", "limit"), [(6, 3000), (8, 1000), (10, 500), (12, 300)])
+    def test_walk_equals_dp_and_census_where_packing_matters(self, t, limit):
+        # far past the limits above: k_max, the truncation at 2 * top and the
+        # 3-byte DP slots all matter here, and the census is still cheap
+        census = [0] * (limit + 1)
+        for _, size in _walk_cores(t, limit, True):
+            census[size] += 1
+        walk = series.distinct_core_series_walk(t, limit)
+        assert walk.coeffs == tuple(census)
+        assert series.distinct_core_series_dp(t, limit) == walk
 
     @pytest.mark.parametrize("route", sorted(series.EQ2_ROUTES))
     def test_trusted_routes_write_exact_counts(self, route):
