@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import astuple
 
 from . import consecutive, cores, series, verify
 from .partitions import Partition
@@ -26,6 +27,8 @@ SERIES_METHODS = {
     "closed": series.distinct_core_series_closed,
     "oracle": series.distinct_core_series_brute,
 }
+# table: the names of SequenceRow's fields, in field order
+TABLE_COLUMNS = ("t", "a", "b", "c", "d", "e", "phi", "psi", "F")
 
 
 def _dumps(payload: dict) -> str:
@@ -177,17 +180,7 @@ def _cmd_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _row_dict(row: consecutive.SequenceRow) -> dict:
-    return {
-        "t": row.t,
-        "a": row.a,
-        "b": row.b,
-        "c": row.c,
-        "d": row.d,
-        "e": row.e,
-        "phi": row.phi,
-        "psi": row.psi,
-        "F": row.fib,
-    }
+    return dict(zip(TABLE_COLUMNS, astuple(row), strict=True))
 
 
 def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -198,9 +191,9 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.format == "json":
         print(_dumps({"t_max": args.t_max, "rows": [_row_dict(r) for r in table.rows]}))
     else:
-        print("t,a,b,c,d,e,phi,psi,F")
+        print(",".join(TABLE_COLUMNS))
         for row in table.rows:
-            print(",".join(str(v) for v in _row_dict(row).values()))
+            print(",".join(map(str, astuple(row))))
     return 0
 
 

@@ -176,9 +176,9 @@ def enumerate_simultaneous_cores(
     Sorted by (size, descending-lex parts).
     """
     _check_coprime_pair(t1, t2)
-    cells = (t1 - 1) * (t2 - 1) // 2
-    if cells > max_gaps:
-        raise ValueError(f"gap set for ({t1}, {t2}) has {cells} cells; cap is {max_gaps}")
+    if (t1 - 1) * (t2 - 1) // 2 > max_gaps:
+        # a count past the cap is not printed: it can be too long for str()
+        raise ValueError(f"gap set for ({t1}, {t2}) has more than {max_gaps} gap cells")
     # beta ascending as b_0 < ... < b_{k-1}: part j is b_j - j, smallest first
     found = [
         (tuple([b - j for j, b in enumerate(beta)][::-1]), size)

@@ -129,11 +129,16 @@ def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
     costs = _costs(bounds)
     route = min(costs, key=costs.get)
     if costs[route] > SERIES_BUDGET_S:
-        # the float's shortest repr: never rounds down to the budget
+        if costs[route] == inf:
+            cost = (
+                f"out of reach: its residue DP state exceeds {DP_STATE_BYTES_CAP} bytes "
+                "and its walk's node bound is too large to estimate"
+            )
+        else:  # the float's shortest repr: never rounds down to the budget
+            cost = f"estimated at {costs[route]!r} s, over the {SERIES_BUDGET_S:g} s budget"
         raise ValueError(
-            f"eq2 at t={t}, limit={limit} is estimated at {costs[route]!r} s, over the "
-            f"{SERIES_BUDGET_S:g} s budget; the largest limit admitted at t={t} is "
-            f"{_largest_admitted(t)}"
+            f"eq2 at t={t}, limit={limit} is {cost}; the largest limit admitted at t={t} "
+            f"is {_largest_admitted(t)}"
         )
     return _BOUNDED_ROUTES[route](t, limit, bounds)
 

@@ -2,20 +2,20 @@
 
 A check is a plain sweep over an exhaustive finite window. It takes the
 window's params as keyword arguments and returns ``None`` when the claim holds
-throughout, or else its first counterexample as a string. The registry
-``SUITES`` owns everything else: each check's name, and its window, which
-declares for every param the requested bound it reads (``t_max``, ``n_max`` or
-none), a default and its low and high clamps. :func:`run_check` clamps the
-bounds into that window, calls the sweep, times it and builds the check's one
-report, so a crashed check still reports its window. The runner executes
-checks one at a time in registry order, so each ``elapsed_ms`` is that check's
-own time; reports come back sorted by check name.
+throughout, or else its first counterexample as a nonempty string. The flat
+registry ``CHECKS`` owns everything else: each check's name, ``suite.name``,
+whose prefix is the suite it runs in, and its window, which declares for every
+param the requested bound it reads (``t_max``, ``n_max`` or none), a default
+and its low and high clamps. :func:`run_check` looks a check up by name,
+clamps the bounds into its window, calls the sweep, times it and builds the
+check's one report, so a crashed check still reports its window. The runner
+executes checks one at a time in registry order, so each ``elapsed_ms`` is
+that check's own time; reports come back sorted by check name.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
@@ -30,8 +30,6 @@ from .partitions import (
     size_from_beta,
 )
 from .report import CheckReport
-
-SUITE_NAMES = ("kernel", "eta", "genfun", "tt1")
 
 
 @lru_cache(maxsize=4)
@@ -392,93 +390,83 @@ class Check(NamedTuple):
     window: dict[str, Bound]
 
 
-SUITES: dict[str, dict[str, Check]] = {
-    "kernel": {
-        "kernel.beta_algebra": Check(check_beta_algebra, {"n_max": Bound("n_max", 40, 0, 60)}),
-        "kernel.column_hooks": Check(check_column_hooks, {"n_max": Bound("n_max", 25, 0, 40)}),
-        "kernel.core_predicates": Check(
-            check_core_predicates,
-            {"t_max": Bound("t_max", 12, 2, 20), "n_max": Bound("n_max", 30, 0, 40)},
-        ),
-        "kernel.distinct_equivalence": Check(
-            check_distinct_equivalence, {"n_max": Bound("n_max", 40, 0, 60)}
-        ),
-        "kernel.distinct_pair_reach": Check(
-            check_distinct_pair_reach, {"t_max": Bound("t_max", 12, 2, 14)}
-        ),
-        "kernel.pair_core_band": Check(check_pair_core_band, {"t_max": Bound("t_max", 10, 2, 10)}),
-        "kernel.pair_enumeration": Check(
-            check_pair_enumeration, {"gap_cells_max": Bound(None, 20, 20, 20)}
-        ),
-    },
-    "eta": {
-        "eta.roundtrip": Check(
-            check_eta_roundtrip,
-            {"t_max": Bound("t_max", 8, 2, 12), "n_max": Bound("n_max", 30, 0, 40)},
-        ),
-        "eta.support": Check(
-            check_eta_support,
-            {"t_max": Bound("t_max", 8, 2, 12), "n_max": Bound("n_max", 30, 0, 40)},
-        ),
-        "eta.vector_roundtrip": Check(
-            check_eta_vector_roundtrip,
-            {"t_max": Bound("t_max", 8, 2, 12), "n_max": Bound("n_max", 30, 0, 40)},
-        ),
-    },
-    "genfun": {
-        "genfun.coefficient_bounds": Check(
-            check_coefficient_bounds,
-            {"t_max": Bound("t_max", 8, 2, 12), "limit": Bound("n_max", 40, 0, 60)},
-        ),
-        "genfun.dfs_vs_closed": Check(check_dfs_vs_closed, {"limit": Bound("n_max", 200, 0, 2000)}),
-        "genfun.dfs_vs_oracle": Check(
-            check_dfs_vs_oracle,
-            {
-                "t_max": Bound("t_max", 7, 2, 10),
-                "limit": Bound("n_max", 60, 0, 80),
-            },
-        ),
-        "genfun.support_soundness": Check(
-            check_support_soundness,
-            {"t_max": Bound("t_max", 8, 2, 12), "limit": Bound("n_max", 40, 0, 60)},
-        ),
-    },
-    "tt1": {
-        "tt1.count_fibonacci": Check(
-            check_count_fibonacci,
-            {"t_max": Bound("t_max", 30, 2, 32), "gap_check_t_max": Bound("t_max", 9, 2, 9)},
-        ),
-        "tt1.extremes": Check(check_extremes, {"t_max": Bound("t_max", 25, 2, 26)}),
-        "tt1.ladder": Check(check_ladder, {"t_max": Bound("t_max", 60, 4, 88)}),
-        "tt1.size_bound": Check(check_size_bound, {"t_max": Bound("t_max", 15, 2, 22)}),
-        "tt1.table": Check(
-            check_table,
-            {
-                "t_max": Bound("t_max", 60, 2, consecutive.TABLE_CAP),
-                "definitional_t_max": Bound("t_max", 25, 2, 25),
-            },
-        ),
-        "tt1.total_size": Check(check_total_size, {"t_max": Bound("t_max", 25, 2, 26)}),
-    },
+# Run order is registry order: eta.roundtrip fills _cores_by_hook_filter's
+# cache, which the two later eta checks read.
+CHECKS: dict[str, Check] = {
+    "kernel.beta_algebra": Check(check_beta_algebra, {"n_max": Bound("n_max", 40, 0, 60)}),
+    "kernel.column_hooks": Check(check_column_hooks, {"n_max": Bound("n_max", 25, 0, 40)}),
+    "kernel.core_predicates": Check(
+        check_core_predicates,
+        {"t_max": Bound("t_max", 12, 2, 20), "n_max": Bound("n_max", 30, 0, 40)},
+    ),
+    "kernel.distinct_equivalence": Check(
+        check_distinct_equivalence, {"n_max": Bound("n_max", 40, 0, 60)}
+    ),
+    "kernel.distinct_pair_reach": Check(
+        check_distinct_pair_reach, {"t_max": Bound("t_max", 12, 2, 14)}
+    ),
+    "kernel.pair_core_band": Check(check_pair_core_band, {"t_max": Bound("t_max", 10, 2, 10)}),
+    "kernel.pair_enumeration": Check(
+        check_pair_enumeration, {"gap_cells_max": Bound(None, 20, 20, 20)}
+    ),
+    "eta.roundtrip": Check(
+        check_eta_roundtrip,
+        {"t_max": Bound("t_max", 8, 2, 12), "n_max": Bound("n_max", 30, 0, 40)},
+    ),
+    "eta.support": Check(
+        check_eta_support,
+        {"t_max": Bound("t_max", 8, 2, 12), "n_max": Bound("n_max", 30, 0, 40)},
+    ),
+    "eta.vector_roundtrip": Check(
+        check_eta_vector_roundtrip,
+        {"t_max": Bound("t_max", 8, 2, 12), "n_max": Bound("n_max", 30, 0, 40)},
+    ),
+    "genfun.coefficient_bounds": Check(
+        check_coefficient_bounds,
+        {"t_max": Bound("t_max", 8, 2, 12), "limit": Bound("n_max", 40, 0, 60)},
+    ),
+    "genfun.dfs_vs_closed": Check(check_dfs_vs_closed, {"limit": Bound("n_max", 200, 0, 2000)}),
+    "genfun.dfs_vs_oracle": Check(
+        check_dfs_vs_oracle,
+        {"t_max": Bound("t_max", 7, 2, 10), "limit": Bound("n_max", 60, 0, 80)},
+    ),
+    "genfun.support_soundness": Check(
+        check_support_soundness,
+        {"t_max": Bound("t_max", 8, 2, 12), "limit": Bound("n_max", 40, 0, 60)},
+    ),
+    "tt1.count_fibonacci": Check(
+        check_count_fibonacci,
+        {"t_max": Bound("t_max", 30, 2, 32), "gap_check_t_max": Bound("t_max", 9, 2, 9)},
+    ),
+    "tt1.extremes": Check(check_extremes, {"t_max": Bound("t_max", 25, 2, 26)}),
+    "tt1.ladder": Check(check_ladder, {"t_max": Bound("t_max", 60, 4, 88)}),
+    "tt1.size_bound": Check(check_size_bound, {"t_max": Bound("t_max", 15, 2, 22)}),
+    "tt1.table": Check(
+        check_table,
+        {
+            "t_max": Bound("t_max", 60, 2, consecutive.TABLE_CAP),
+            "definitional_t_max": Bound("t_max", 25, 2, 25),
+        },
+    ),
+    "tt1.total_size": Check(check_total_size, {"t_max": Bound("t_max", 25, 2, 26)}),
 }
+
+# each check is named suite.name; the suites in registry order
+SUITE_NAMES = tuple(dict.fromkeys(name.partition(".")[0] for name in CHECKS))
 
 
 def checks_for(suite: str) -> dict[str, Check]:
     if suite == "all":
-        merged: dict[str, Check] = {}
-        for table in SUITES.values():
-            merged.update(table)
-        return merged
-    if suite not in SUITES:
+        return dict(CHECKS)
+    if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {(*SUITE_NAMES, 'all')}")
-    return SUITES[suite]
+    return {name: check for name, check in CHECKS.items() if name.startswith(f"{suite}.")}
 
 
-def run_check(
-    name: str, check: Check, t_max: int | None = None, n_max: int | None = None
-) -> CheckReport:
-    """Run one check on its window, clamped from the requested bounds, and
-    time it; a crash or a malformed result is a failed check."""
+def run_check(name: str, t_max: int | None = None, n_max: int | None = None) -> CheckReport:
+    """Run the check ``name`` on its window, clamped from the requested
+    bounds, and time it; a crash or a malformed result is a failed check."""
+    check = CHECKS[name]
     requested = {"t_max": t_max, "n_max": n_max}
     params: dict[str, int] = {}
     for key, (source, default, lo, hi) in check.window.items():
@@ -486,12 +474,13 @@ def run_check(
         params[key] = max(lo, min(default if value is None else value, hi))
     started = time.perf_counter()
     try:
-        counterexample = check.sweep(**params)
-        status = "pass" if counterexample is None else "fail"
-        report = CheckReport(check=name, params=params, status=status, detail=counterexample)
+        detail = check.sweep(**params)
     except Exception as exc:
-        report = CheckReport(check=name, params=params, status="fail", detail=f"crashed: {exc!r}")
-    return replace(report, elapsed_ms=(time.perf_counter() - started) * 1000.0)
+        detail = f"crashed: {exc!r}"
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    if detail is not None and not (isinstance(detail, str) and detail):
+        detail = f"malformed result: {detail!r}"
+    return CheckReport(check=name, params=params, detail=detail, elapsed_ms=elapsed_ms)
 
 
 def run_suite(
@@ -503,8 +492,8 @@ def run_suite(
 ) -> list[CheckReport]:
     """Run a suite's checks one at a time and sort the reports by name."""
     reports = []
-    for name, check in checks_for(suite).items():
+    for name in checks_for(suite):
         if progress is not None:
             progress(name)
-        reports.append(run_check(name, check, t_max, n_max))
+        reports.append(run_check(name, t_max, n_max))
     return sorted(reports, key=lambda r: r.check)

@@ -28,9 +28,8 @@ def _report(number, text):
 
 def _run_checks(number, expected):
     """Run each named check at its default bounds; ``expected`` maps name to params."""
-    registry = verify.checks_for("all")
     for name, params in expected.items():
-        report = verify.run_check(name, registry[name])
+        report = verify.run_check(name)
         assert report.passed, report.detail
         assert report.params == params, (name, report.params)
         _report(number, f"{name} {report.params} in {report.elapsed_ms:.0f} ms")

@@ -171,6 +171,14 @@ class TestSeriesCommand:
         expect_usage_error(["series", "--t", str(cli.SERIES_T_CAP), "--limit", "1000000"])
         assert time.perf_counter() - started < 1.0
 
+    def test_refusal_out_of_estimate_names_no_time(self, capsys):
+        # both estimates are infinite: the DP state is over its cap, and the
+        # walk's node bound is past what a float holds
+        expect_usage_error(["series", "--t", "10000", "--limit", "1000000"])
+        err = capsys.readouterr().err
+        assert "inf" not in err and "out of reach" in err
+        assert "admitted at t=10000 is 658" in err
+
 
 class TestEnumerateCommand:
     def test_text(self, capsys):
@@ -224,7 +232,15 @@ class TestEnumerateCommand:
         started = time.perf_counter()
         expect_usage_error(["enumerate", "--t1", "20000", "--t2", "20001"])
         assert time.perf_counter() - started < 1.0
-        assert "cells; cap is 50" in capsys.readouterr().err
+        assert "has more than 50 gap cells" in capsys.readouterr().err
+
+    def test_refuses_a_gap_count_too_long_to_print(self, capsys):
+        # (t1 - 1)(t2 - 1)/2 has over 4300 digits, more than str() converts
+        started = time.perf_counter()
+        expect_usage_error(["enumerate", "--t1", str(10**21), "--t2", "7" * 4290])
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert "has more than 50 gap cells" in err and "Exceeds the limit" not in err
 
     @pytest.mark.parametrize("distinct", [[], ["--distinct"]], ids=["all", "distinct"])
     def test_pair_with_one_answers_at_once(self, capsys, distinct):
@@ -363,7 +379,7 @@ class TestVerifyCommand:
         def broken():
             return "forced counterexample"
 
-        monkeypatch.setitem(verify.SUITES, "kernel", {"kernel.broken": verify.Check(broken, {})})
+        monkeypatch.setattr(verify, "CHECKS", {"kernel.broken": verify.Check(broken, {})})
         code, out, _ = run_ok(capsys, ["verify", "--suite", "kernel"])
         assert code == 1
         assert "FAIL kernel.broken" in out
@@ -373,7 +389,7 @@ class TestVerifyCommand:
         def crash():
             raise RuntimeError("injected")
 
-        monkeypatch.setitem(verify.SUITES, "kernel", {"kernel.crash": verify.Check(crash, {})})
+        monkeypatch.setattr(verify, "CHECKS", {"kernel.crash": verify.Check(crash, {})})
         code, out, _ = run_ok(capsys, ["verify", "--suite", "kernel"])
         assert code == 1
         assert "FAIL kernel.crash" in out

@@ -115,7 +115,7 @@ def check(name, t_max, n_max=None):
     """The registered check ``name`` at a small window: its detail or None."""
 
     def run():
-        return verify.run_check(name, verify.checks_for("all")[name], t_max, n_max).detail
+        return verify.run_check(name, t_max, n_max).detail
 
     return run
 

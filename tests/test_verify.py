@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from corekit import Partition, consecutive, verify
+from corekit import CheckReport, Partition, consecutive, verify
 from corekit.partitions import _trusted_partition
 from corekit.verify import Bound, Check
 
@@ -69,16 +69,38 @@ def test_registry_names_every_pinned_check():
     assert sorted(verify.checks_for("all")) == sorted(WINDOWS)
 
 
+def test_suites_partition_the_registry_in_order():
+    for name in verify.CHECKS:
+        suite, dot, rest = name.partition(".")
+        assert dot and rest and suite in verify.SUITE_NAMES, name
+    assert verify.SUITE_NAMES == ("kernel", "eta", "genfun", "tt1")
+    suites = [list(verify.checks_for(suite)) for suite in verify.SUITE_NAMES]
+    assert [name for names in suites for name in names] == list(verify.checks_for("all"))
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="unknown suite 'ker'"):
+        verify.checks_for("ker")
+
+
+def test_report_passes_iff_it_has_no_counterexample():
+    passed = CheckReport("kernel.ok", {"n_max": 3})
+    failed = CheckReport("kernel.bad", {"n_max": 3}, detail="witness")
+    assert passed.passed and passed.status == "pass"
+    assert not failed.passed and failed.status == "fail"
+    assert failed.to_json_dict()["status"] == "fail"
+
+
 @pytest.mark.parametrize("name", sorted(WINDOWS))
-def test_window_is_pinned(name):
+def test_window_is_pinned(monkeypatch, name):
     calls = []
 
     def stub(**params):  # the sweep's place: record its arguments, find nothing
         calls.append(params)
 
-    check = verify.checks_for("all")[name]._replace(sweep=stub)
+    monkeypatch.setitem(verify.CHECKS, name, verify.CHECKS[name]._replace(sweep=stub))
     for (t_max, n_max), expected in zip(REQUESTS, WINDOWS[name]):
-        report = verify.run_check(name, check, t_max, n_max)
+        report = verify.run_check(name, t_max, n_max)
         assert report.passed and report.check == name
         assert list(report.params.items()) == list(expected.items())
     assert calls == list(WINDOWS[name])
@@ -95,7 +117,7 @@ def test_run_suite_runs_each_check_once_in_order(monkeypatch):
         return Check(sweep, window)
 
     names = ["kernel.zeta", "kernel.alpha", "kernel.mu"]
-    monkeypatch.setitem(verify.SUITES, "kernel", {name: check(name) for name in names})
+    monkeypatch.setattr(verify, "CHECKS", {name: check(name) for name in names})
     reports = verify.run_suite(
         "kernel", t_max=3, n_max=5, progress=lambda name: events.append(("start", name))
     )
@@ -105,23 +127,26 @@ def test_run_suite_runs_each_check_once_in_order(monkeypatch):
     assert all(r.params == {"t_max": 3, "n_max": 5} and r.elapsed_ms > 0 for r in reports)
 
 
-def test_crashing_check_reports_its_window():
+def test_crashing_check_reports_its_window(monkeypatch):
     def crash(t_max):
         raise RuntimeError("injected")
 
     check = Check(crash, {"t_max": Bound("t_max", 5, 2, 9)})
-    report = verify.run_check("kernel.crash", check, t_max=20)
+    monkeypatch.setitem(verify.CHECKS, "kernel.crash", check)
+    report = verify.run_check("kernel.crash", t_max=20)
     assert not report.passed
     assert report.params == {"t_max": 9}
     assert report.detail == "crashed: RuntimeError('injected')"
 
 
-def test_empty_counterexample_is_a_failed_report():
-    check = Check(lambda n_max: "", {"n_max": Bound("n_max", 3, 0, 3)})
-    report = verify.run_check("kernel.mute", check)
-    assert not report.passed
-    assert report.params == {"n_max": 3}
-    assert report.detail.startswith("crashed: ValueError(")
+def test_empty_counterexample_is_a_failed_report(monkeypatch):
+    for result in ("", False, 0):  # neither None nor a nonempty string
+        check = Check(lambda n_max: result, {"n_max": Bound("n_max", 3, 0, 3)})
+        monkeypatch.setitem(verify.CHECKS, "kernel.mute", check)
+        report = verify.run_check("kernel.mute")
+        assert not report.passed
+        assert report.params == {"n_max": 3}
+        assert report.detail == f"malformed result: {result!r}"
 
 
 @pytest.mark.parametrize(
@@ -164,16 +189,15 @@ def test_extremes_revalidates_trusted_maximizers(monkeypatch):
     original = consecutive.maximizers
     bad = [_trusted_partition((3,)), _trusted_partition((2, True))]
     monkeypatch.setattr(consecutive, "maximizers", lambda s: bad if s == 4 else original(s))
-    report = verify.run_check("tt1.extremes", verify.checks_for("tt1")["tt1.extremes"], 12)
+    report = verify.run_check("tt1.extremes", 12)
     assert not report.passed and "got True" in report.detail, report.detail
 
 
 def test_size_checks_build_no_population():
     population = consecutive.distinct_core_partitions
     population.cache_clear()
-    registry = verify.checks_for("tt1")
     for name in ("tt1.extremes", "tt1.total_size"):
-        assert verify.run_check(name, registry[name]).passed
+        assert verify.run_check(name).passed
     assert population.cache_info().misses == 0
 
 
