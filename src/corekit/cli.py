@@ -15,7 +15,7 @@ import sys
 from dataclasses import astuple
 
 from . import consecutive, cores, series, verify
-from .partitions import Partition
+from .partitions import Partition, beta_set
 
 T_MAX_CAP = 64
 N_MAX_CAP = 240
@@ -36,13 +36,7 @@ def _dumps(payload: dict) -> str:
 
 
 def _partition_dict(p: Partition) -> dict:
-    rows = len(p.parts)
-    return {
-        "parts": list(p.parts),
-        "size": p.size,
-        # part_i + rows - i falls strictly as i grows: the beta-set, descending
-        "beta": [part + rows - i for i, part in enumerate(p.parts, start=1)],
-    }
+    return {"parts": list(p.parts), "size": p.size, "beta": sorted(beta_set(p), reverse=True)}
 
 
 def _partition_line(p: Partition) -> str:

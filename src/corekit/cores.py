@@ -45,7 +45,7 @@ from math import comb, gcd
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .partitions import Partition, _column_heights, _trusted_partition
+from .partitions import Partition, _column_heights, _require_ints, _trusted_partition
 
 PARTITION_ENUM_CAP = 120
 GAP_CELL_CAP = 50
@@ -55,9 +55,7 @@ def _check_forbidden(forbidden: Iterable[int]) -> frozenset[int]:
     avoided = frozenset(forbidden)
     if not avoided:
         raise ValueError("forbidden hook-length set must be nonempty")
-    for t in avoided:
-        if type(t) is not int or t < 1:  # bool is an int subclass; reject it
-            raise ValueError(f"forbidden hook lengths must be positive integers, got {t!r}")
+    _require_ints(avoided, 1, "forbidden hook lengths must be positive integers")
     return avoided
 
 

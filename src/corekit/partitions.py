@@ -3,6 +3,12 @@
 Everything here is a pure function of immutable values and all arithmetic
 is exact. The empty partition is a first-class citizen: no parts, size 0,
 empty beta-set, and distinct parts vacuously.
+
+Every validating constructor and checker in corekit (parts, beta-sets,
+forbidden hook lengths, residue counts, series coefficients) states its
+integer rule through :func:`_require_ints`: each value must be an exact
+``int`` at or above a floor, so ``bool`` (an ``int`` subclass) and floats
+are refused.
 """
 
 from __future__ import annotations
@@ -11,6 +17,14 @@ from dataclasses import dataclass
 from itertools import pairwise
 from math import comb
 from typing import Iterable, Iterator
+
+
+def _require_ints(values: Iterable[object], lo: int, what: str) -> None:
+    """Raise ``ValueError(f"{what}, got {x!r}")`` for the first value that is
+    not an exact ``int`` >= ``lo``."""
+    for x in values:
+        if type(x) is not int or x < lo:
+            raise ValueError(f"{what}, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -27,9 +41,7 @@ class Partition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
-        for part in self.parts:
-            if type(part) is not int or part < 1:  # bool is an int subclass; reject it
-                raise ValueError(f"parts must be positive integers, got {part!r}")
+        _require_ints(self.parts, 1, "parts must be positive integers")
         for a, b in pairwise(self.parts):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing, got {a} before {b}")
@@ -118,9 +130,7 @@ def beta_set(p: Partition) -> frozenset[int]:
 def check_beta(beta: Iterable[int]) -> frozenset[int]:
     """Validate a beta-set: distinct positive integers (zero is never a member)."""
     bs = frozenset(beta)
-    for x in bs:
-        if type(x) is not int or x < 1:  # bool is an int subclass; reject it
-            raise ValueError(f"beta-set elements must be positive integers, got {x!r}")
+    _require_ints(bs, 1, "beta-set elements must be positive integers")
     return bs
 
 

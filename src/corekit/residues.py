@@ -28,7 +28,7 @@ from math import comb
 from typing import Iterable, Iterator
 
 from .cores import _walk_cores, abacus_is_t_core
-from .partitions import Partition, beta_set, partition_of_beta
+from .partitions import Partition, _require_ints, beta_set, partition_of_beta
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,7 @@ class ResidueVector:
                 f"need exactly {self.modulus - 1} counts for modulus "
                 f"{self.modulus}, got {len(self.counts)}"
             )
-        for c in self.counts:
-            if type(c) is not int or c < 0:  # bool is an int subclass; reject it
-                raise ValueError(f"counts must be nonnegative integers, got {c!r}")
+        _require_ints(self.counts, 0, "counts must be nonnegative integers")
 
     @property
     def total(self) -> int:

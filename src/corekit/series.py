@@ -33,6 +33,7 @@ from math import ceil, comb, inf, isqrt, log, pi, sqrt
 from typing import Iterator
 
 from .cores import _walk_cores, enumerate_partitions, is_core
+from .partitions import _require_ints
 from .residues import ResidueVector, _vector_of_beta
 
 SERIES_LIMIT_CAP = 1_000_000
@@ -72,9 +73,7 @@ class CoefficientSeries:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
-        for value in self.coeffs:
-            if type(value) is not int or value < 0:  # bool is an int subclass; reject it
-                raise ValueError(f"coefficients must be counts, got {value!r}")
+        _require_ints(self.coeffs, 0, "coefficients must be counts")
 
     @property
     def limit(self) -> int:

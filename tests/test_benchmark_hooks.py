@@ -4,8 +4,10 @@
 and reads the population cache's statistics, and the verify-all workload
 requires every check in ``perfbench/workloads.py``'s ``VERIFY_CHECKS`` to
 pass; a rename or a deleted cache would otherwise break only the benchmark.
-The modules' sources are only read here, so nothing is written under
-``perfbench/``.
+``bench/eq2_crossover.py``, which refits the eq2 cost constants, runs in no
+test, so the names it imports from perfbench and calls in ``series`` are
+checked here too. The modules' sources are only read here, so nothing is
+written under ``perfbench/``.
 """
 
 import ast
@@ -13,9 +15,10 @@ import types
 from pathlib import Path
 
 import corekit
-from corekit import verify
+from corekit import series, verify
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CROSSOVER = Path(__file__).resolve().parents[1] / "bench" / "eq2_crossover.py"
 SPANS = PERFBENCH / "spans.py"
 
 
@@ -48,3 +51,34 @@ def test_verify_checks_are_registered():
         if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "VERIFY_CHECKS"
     )
     assert names and set(names) <= set(verify.checks_for("all"))
+
+
+def _top_level_names(path):
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return names
+
+
+def test_eq2_crossover_names_exist():
+    tree = ast.parse(CROSSOVER.read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module in ("run", "worker")
+        for alias in node.names
+    ]
+    assert sorted(imported) == [("run", "REFERENCE_MS"), ("worker", "reference_ms")]
+    for module, name in imported:
+        assert name in _top_level_names(PERFBENCH / f"{module}.py"), f"{module}.{name}"
+    # what its code calls, and the budget its docstring names
+    called = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "series"
+    }
+    for name in called | {"EQ2_ROUTES", "eq2_costs", "_largest_admitted", "SERIES_BUDGET_S"}:
+        assert hasattr(series, name), f"series.{name}"

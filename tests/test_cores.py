@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 from math import gcd
@@ -70,8 +71,10 @@ class TestIsCore:
             is_core(FIGURE_PARTITION, {0, 3})
 
     def test_rejects_bool_forbidden_set(self):
-        with pytest.raises(ValueError):
-            is_core(Partition((2,)), {True})
+        for bad in (True, 2.0, 0):
+            message = f"forbidden hook lengths must be positive integers, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                is_core(Partition((2,)), {bad})
 
 
 class TestAbacus:

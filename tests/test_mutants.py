@@ -111,6 +111,14 @@ residue_presence_not_count = source_mutant(
 )
 
 
+def beta_set_shifted_past_two_rows(monkeypatch):
+    # every beta-set element one larger once the partition has three rows
+    beta_set = verify.beta_set
+    monkeypatch.setattr(
+        verify, "beta_set", lambda p: frozenset(x + (len(p.parts) > 2) for x in beta_set(p))
+    )
+
+
 def check(name, t_max, n_max=None):
     """The registered check ``name`` at a small window: its detail or None."""
 
@@ -146,6 +154,11 @@ CASES = {
     ),
     "maximizer-parts": (
         maximizer_parts_shifted, check("tt1.extremes", 8), "constructed maximizers differ"
+    ),
+    "beta-set-rows": (
+        beta_set_shifted_past_two_rows,
+        check("kernel.column_hooks", None, 8),
+        "column formula broke",
     ),
 }
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -58,8 +60,10 @@ class TestPartition:
             Partition((-1,))
 
     def test_rejects_bool_parts(self):
-        with pytest.raises(ValueError):
-            Partition((True,))
+        for bad in (True, 1.0, 0):
+            message = f"parts must be positive integers, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Partition((bad,))
 
     def test_accepts_list_input(self):
         assert Partition([4, 2]).parts == (4, 2)
@@ -137,8 +141,10 @@ class TestSizeFromBeta:
         assert size_from_beta({3, 1}) == 4 - 1 == 3
 
     def test_rejects_bool_elements(self):
-        with pytest.raises(ValueError):
-            size_from_beta([True])
+        for bad in (True, 1.0, 0):
+            message = f"beta-set elements must be positive integers, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                size_from_beta([bad])
 
     @given(partitions_st)
     def test_matches_partition_size(self, p):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,8 +44,10 @@ class TestResidueVectorType:
             ResidueVector(3, (1, -1))
 
     def test_rejects_bool_counts(self):
-        with pytest.raises(ValueError):
-            ResidueVector(3, (True, 0))
+        for bad in (True, 1.0, -1):
+            message = f"counts must be nonnegative integers, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ResidueVector(3, (bad, 0))
 
     def test_total(self):
         assert FIGURE_VECTOR.total == 5

@@ -1,3 +1,4 @@
+import re
 from math import inf
 
 import pytest
@@ -44,13 +45,17 @@ class TestSeriesType:
             CoefficientSeries((1, -1))
 
     def test_rejects_bool_coefficients(self):
-        with pytest.raises(ValueError):
-            CoefficientSeries((True,))
+        for bad in (True, 1.0, -1):
+            message = f"coefficients must be counts, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                CoefficientSeries((bad,))
 
     def test_rejects_float_coefficients(self):
         # with the three tests above, what the eq2 routes' _trusted_series skips
-        with pytest.raises(ValueError):
-            CoefficientSeries((1, 1.0))
+        for bad in (1.0, True, -1):
+            message = f"coefficients must be counts, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                CoefficientSeries((1, bad))
 
     def test_json_dict(self):
         s = CoefficientSeries((1, 1, 1, 0, 1), t=3)

@@ -4,8 +4,10 @@ window the registry declares for it.
 A crashing check is also covered through the CLI in ``test_cli.py``.
 """
 
+import ast
 import inspect
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +201,23 @@ def test_size_checks_build_no_population():
     for name in ("tt1.extremes", "tt1.total_size"):
         assert verify.run_check(name).passed
     assert population.cache_info().misses == 0
+
+
+def test_later_eta_checks_reuse_the_roundtrip_scan():
+    # all three eta checks read one window, so they ask for one cache entry
+    assert verify.run_check("eta.roundtrip").passed
+    misses = verify._cores_by_hook_filter.cache_info().misses
+    for name in ("eta.support", "eta.vector_roundtrip"):
+        assert verify.run_check(name).passed
+    assert verify._cores_by_hook_filter.cache_info().misses == misses
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O drops assert statements; a check must raise on its own
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
 
 
 def test_table_reports_an_odd_ladder_row(monkeypatch):
