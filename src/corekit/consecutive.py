@@ -32,7 +32,9 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from .partitions import Partition, _trusted_partition, partition_of_beta, size_lex_key
+from .partitions import (
+    Partition, _require_ints, _trusted_partition, partition_of_beta, size_lex_key
+)
 
 TABLE_CAP = 90
 # distinct_core_partitions holds F_{t+1} partitions: F_27 = 196 418 at the
@@ -42,8 +44,7 @@ _POPULATION_CAP = 26
 
 def fibonacci(i: int) -> int:
     """F_0 = 0, F_1 = 1, F_i = F_{i-1} + F_{i-2}."""
-    if i < 0:
-        raise ValueError(f"index must be >= 0, got {i}")
+    _require_ints((i,), 0, "index must be >= 0")
     return _fib_pair(i)[1]
 
 
@@ -92,8 +93,7 @@ def iter_nice_subsets(t: int) -> Iterator[tuple[int, ...]]:
     The empty set is included; it encodes the empty partition and the counts
     below only come out Fibonacci-exact with it.
     """
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
+    _require_ints((t,), 2, "need t >= 2")
     return (tuple(s) for s in _walk_nice_subsets(t))
 
 
@@ -105,8 +105,10 @@ def distinct_core_partitions(t: int) -> tuple[Partition, ...]:
     each through the validating ``partition_of_beta``; sorted by (size,
     descending-lex parts).
     """
-    if not 2 <= t <= _POPULATION_CAP:
-        raise ValueError(f"need 2 <= t <= {_POPULATION_CAP}, got {t}")
+    what = f"need 2 <= t <= {_POPULATION_CAP}"
+    _require_ints((t,), 2, what)
+    if t > _POPULATION_CAP:
+        raise ValueError(f"{what}, got {t}")
     partitions = [partition_of_beta(bs) for bs in _walk_nice_subsets(t)]
     partitions.sort(key=size_lex_key)
     return tuple(partitions)
@@ -114,22 +116,19 @@ def distinct_core_partitions(t: int) -> tuple[Partition, ...]:
 
 def count_distinct_cores(t: int) -> int:
     """Closed form for ``len(distinct_core_partitions(t))``: F_{t+1}."""
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
+    _require_ints((t,), 2, "need t >= 2")
     return _fib_pair(t + 1)[1]
 
 
 def largest_size(t: int) -> int:
     """Largest size among the partitions counted above: floor(C(t+1,2)/3)."""
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
+    _require_ints((t,), 2, "need t >= 2")
     return comb(t + 1, 2) // 3
 
 
 def maximizer_count(t: int) -> int:
     """How many of them attain the largest size: 2 when t = 1 mod 3, else 1."""
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
+    _require_ints((t,), 2, "need t >= 2")
     return 2 if t % 3 == 1 else 1
 
 
@@ -142,8 +141,7 @@ def maximizers(t: int) -> list[Partition]:
     positive as 2k <= t, so each is built on the trusted path and
     ``tt1.extremes`` checks it against the census and ``Partition(...)``.
     """
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
+    _require_ints((t,), 2, "need t >= 2")
     n, r = divmod(t, 3)
     ks = {0: [n], 1: [n, n + 1], 2: [n + 1]}[r]
     return [_trusted_partition(tuple(range(t - k, t - 2 * k, -1))) for k in ks]
@@ -151,16 +149,14 @@ def maximizers(t: int) -> list[Partition]:
 
 def fibonacci_convolution(n: int) -> int:
     """Sum of F_i * F_j over ordered pairs i + j = n with i, j >= 1."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _require_ints((n,), 0, "index must be >= 0")
     fib = _fib_table(n)
     return sum(fib[i] * fib[n - i] for i in range(1, n))
 
 
 def fibonacci_triple_convolution(n: int) -> int:
     """Sum of F_i * F_j * F_k over ordered triples i + j + k = n, all >= 1."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
+    _require_ints((n,), 0, "index must be >= 0")
     fib = _fib_table(n)
     return sum(
         fib[i] * fib[j] * fib[n - i - j]
@@ -178,8 +174,7 @@ def _fib_table(n: int) -> list[int]:
 
 def _total_and_count(t: int) -> tuple[int, int]:
     """(psi_{t+1}, F_{t+1}) from one Fibonacci pair, psi in closed form."""
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
+    _require_ints((t,), 2, "need t >= 2")
     n = t + 1
     f_prev, f = _fib_pair(n)
     psi, rem = divmod((5 * n * n - 3 * n - 2) * f - 6 * n * f_prev, 50)
@@ -257,8 +252,10 @@ def sequence_table(t_max: int) -> SequenceTable:
     sparse subset and every convolution is empty. ``verify``'s tt1.table
     check recomputes the rows up to t = 25 definitionally.
     """
-    if not 2 <= t_max <= TABLE_CAP:
-        raise ValueError(f"t_max must be in [2, {TABLE_CAP}], got {t_max}")
+    what = f"t_max must be in [2, {TABLE_CAP}]"
+    _require_ints((t_max,), 2, what)
+    if t_max > TABLE_CAP:
+        raise ValueError(f"{what}, got {t_max}")
 
     fib = _fib_table(t_max + 1)
     b, c, d, phi, psi = ([0, 0] for _ in range(5))  # indexed by t, from t = 0

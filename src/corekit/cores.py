@@ -20,16 +20,10 @@ off the ascending beta-set and builds its Partitions through
 ``partitions._trusted_partition``, which skips validation, and ``verify``'s
 pair-core checks test the walk's beta-sets with no Partition at all.
 :func:`enumerate_partitions` builds through the same trusted path: its two
-walks write positive, weakly decreasing parts by construction. Two more
-producers take a trusted path. ``consecutive.maximizers`` writes its
-consecutive parts down directly, and ``tt1.extremes`` checks each against
-the size census, the hook-length test and ``Partition(...)``. The eq2
-routes of :mod:`corekit.series` return through ``series._trusted_series``,
-and ``genfun.dfs_vs_oracle`` and ``genfun.dfs_vs_closed`` compare them with
-validated series from a hook scan and from the closed forms. The public
-``Partition(...)``, ``partition_of_beta`` and ``CoefficientSeries(...)``
-keep validating. In every cross-check at most one side takes the trusted
-path: the other side of ``tt1.count_fibonacci``'s enumerator comparison,
+walks write positive, weakly decreasing parts by construction. The public
+``Partition(...)`` and ``partition_of_beta`` keep validating. In every
+cross-check at most one side takes the trusted path: the other side of
+``tt1.count_fibonacci``'s enumerator comparison,
 ``consecutive.distinct_core_partitions``, builds through
 ``partition_of_beta``.
 
@@ -72,8 +66,7 @@ def is_core(p: Partition, forbidden: Iterable[int]) -> bool:
 
 def abacus_is_t_core(beta: Iterable[int], t: int) -> bool:
     """Beta-set test for t-cores: every x >= t in the set must have x - t in it too."""
-    if t < 1:
-        raise ValueError(f"modulus must be >= 1, got {t}")
+    _require_ints((t,), 1, "modulus must be >= 1")
     bs = frozenset(beta)
     return all(x - t in bs for x in bs if x >= t)
 
@@ -86,8 +79,7 @@ def enumerate_partitions(n: int, distinct_only: bool = False) -> Iterator[Partit
     algorithms for generating integer partitions", 1998), amortized O(1)
     steps each; distinct parts from a walk over an explicit stack of parts.
     """
-    if n < 0:
-        raise ValueError(f"cannot partition a negative integer: {n}")
+    _require_ints((n,), 0, "cannot partition a negative integer")
     if n > PARTITION_ENUM_CAP:
         raise ValueError(f"partition enumeration capped at n = {PARTITION_ENUM_CAP}, got {n}")
     trusted = _trusted_partition  # a local name: no global lookup per partition
@@ -148,8 +140,7 @@ def enumerate_partitions(n: int, distinct_only: bool = False) -> Iterator[Partit
 
 
 def _check_coprime_pair(t1: int, t2: int) -> None:
-    if t1 < 1 or t2 < 1:
-        raise ValueError(f"need positive integers, got ({t1}, {t2})")
+    _require_ints((t1, t2), 1, "need positive integers")
     if t1 == t2 or gcd(t1, t2) != 1:
         raise ValueError(f"({t1}, {t2}) is not a coprime pair")
 

@@ -4,11 +4,13 @@ Everything here is a pure function of immutable values and all arithmetic
 is exact. The empty partition is a first-class citizen: no parts, size 0,
 empty beta-set, and distinct parts vacuously.
 
-Every validating constructor and checker in corekit (parts, beta-sets,
-forbidden hook lengths, residue counts, series coefficients) states its
-integer rule through :func:`_require_ints`: each value must be an exact
-``int`` at or above a floor, so ``bool`` (an ``int`` subclass) and floats
-are refused.
+Every integer argument in corekit states its rule through
+:func:`_require_ints`: each value must be an exact ``int`` at or above a
+floor, so ``bool`` (an ``int`` subclass) and floats are refused. That holds
+for collections (parts, beta-sets, forbidden hook lengths, residue counts,
+series coefficients) and for single arguments (moduli, indices, size
+bounds, verify's bounds), which pass the value as a one-tuple; an upper cap
+keeps its own check.
 """
 
 from __future__ import annotations

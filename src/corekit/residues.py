@@ -40,8 +40,7 @@ class ResidueVector:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(self.counts))
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
+        _require_ints((self.modulus,), 2, "modulus must be >= 2")
         if len(self.counts) != self.modulus - 1:
             raise ValueError(
                 f"need exactly {self.modulus - 1} counts for modulus "
@@ -61,8 +60,7 @@ def residue_vector(p: Partition, t: int) -> ResidueVector:
     Raises ValueError when ``p`` is not a t-core (the encoding is only
     faithful under the beta-set closure condition).
     """
-    if t < 2:
-        raise ValueError(f"modulus must be >= 2, got {t}")
+    _require_ints((t,), 2, "modulus must be >= 2")
     bs = beta_set(p)
     if not abacus_is_t_core(bs, t):
         raise ValueError(f"{p!r} has a hook of length {t}; not encodable mod {t}")
@@ -112,8 +110,6 @@ def separated_support(v: ResidueVector) -> bool:
 
 def iter_core_vectors(t: int, max_size: int) -> Iterator[ResidueVector]:
     """Every residue vector whose encoded partition has size <= ``max_size``."""
-    if t < 2:
-        raise ValueError(f"modulus must be >= 2, got {t}")
-    if max_size < 0:
-        raise ValueError(f"max_size must be >= 0, got {max_size}")
+    _require_ints((t,), 2, "modulus must be >= 2")
+    _require_ints((max_size,), 0, "max_size must be >= 0")
     return (_vector_of_beta(beta, t) for beta, _ in _walk_cores(t, max_size, False))

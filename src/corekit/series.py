@@ -96,10 +96,8 @@ def _trusted_series(coeffs: tuple[int, ...], t: int) -> CoefficientSeries:
 
 
 def _check_args(t: int, limit: int) -> None:
-    if t < 2:
-        raise ValueError(f"need t >= 2, got {t}")
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
+    _require_ints((t,), 2, "need t >= 2")
+    _require_ints((limit,), 0, "limit must be >= 0")
     if limit > SERIES_LIMIT_CAP:
         raise ValueError(f"dense series capped at limit {SERIES_LIMIT_CAP}")
 

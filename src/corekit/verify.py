@@ -22,6 +22,7 @@ from typing import Callable, Iterable, NamedTuple
 from . import consecutive, cores, residues, series
 from .partitions import (
     Partition,
+    _require_ints,
     beta_distinct_criterion,
     beta_set,
     hook_length_set,
@@ -393,14 +394,14 @@ class Check(NamedTuple):
 # they clamp to the same bounds and ask for the same cache entry.
 _ETA_WINDOW = {"t_max": Bound("t_max", 8, 2, 12), "n_max": Bound("n_max", 30, 0, 40)}
 CHECKS: dict[str, Check] = {
-    "kernel.beta_algebra": Check(check_beta_algebra, {"n_max": Bound("n_max", 40, 0, 60)}),
+    "kernel.beta_algebra": Check(check_beta_algebra, {"n_max": Bound("n_max", 40, 0, 48)}),
     "kernel.column_hooks": Check(check_column_hooks, {"n_max": Bound("n_max", 25, 0, 40)}),
     "kernel.core_predicates": Check(
         check_core_predicates,
         {"t_max": Bound("t_max", 12, 2, 20), "n_max": Bound("n_max", 30, 0, 40)},
     ),
     "kernel.distinct_equivalence": Check(
-        check_distinct_equivalence, {"n_max": Bound("n_max", 40, 0, 60)}
+        check_distinct_equivalence, {"n_max": Bound("n_max", 40, 0, 48)}
     ),
     "kernel.distinct_pair_reach": Check(
         check_distinct_pair_reach, {"t_max": Bound("t_max", 12, 2, 14)}
@@ -456,9 +457,11 @@ def checks_for(suite: str) -> dict[str, Check]:
 
 def run_check(name: str, t_max: int | None = None, n_max: int | None = None) -> CheckReport:
     """Run the check ``name`` on its window, clamped from the requested
-    bounds, and time it; a crash or a malformed result is a failed check."""
+    bounds, and time it; a crash or a malformed result is a failed check.
+    A bound that is neither None nor an ``int`` >= 0 is refused."""
     check = CHECKS[name]
     requested = {"t_max": t_max, "n_max": n_max}
+    _require_ints([v for v in requested.values() if v is not None], 0, "bounds must be ints >= 0")
     params: dict[str, int] = {}
     for key, (source, default, lo, hi) in check.window.items():
         value = requested.get(source)

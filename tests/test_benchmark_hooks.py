@@ -6,11 +6,17 @@ requires every check in ``perfbench/workloads.py``'s ``VERIFY_CHECKS`` to
 pass; a rename or a deleted cache would otherwise break only the benchmark.
 ``bench/eq2_crossover.py``, which refits the eq2 cost constants, runs in no
 test, so the names it imports from perfbench and calls in ``series`` are
-checked here too. The modules' sources are only read here, so nothing is
-written under ``perfbench/``.
+checked here too. Last, the benchmark's own self-test runs every workload at
+a tiny size, plain and traced, against this checkout, so a change that would
+make a workload fail or answer wrongly fails here first. It runs in a
+subprocess with ``PYTHONDONTWRITEBYTECODE=1``, and the other tests only read
+the modules' sources, so nothing is written under ``perfbench/``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -82,3 +88,15 @@ def test_eq2_crossover_names_exist():
     }
     for name in called | {"EQ2_ROUTES", "eq2_costs", "_largest_admitted", "SERIES_BUDGET_S"}:
         assert hasattr(series, name), f"series.{name}"
+
+
+def test_benchmark_self_test_passes():
+    result = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench"],
+        cwd=PERFBENCH.parent,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr[-4000:]

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -78,7 +79,7 @@ class TestNiceSubsets:
         # the population holds F_{t+1} partitions; the cap refuses before any is built
         assert _POPULATION_CAP == 26
         for t in (1, _POPULATION_CAP + 1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=re.escape(f"need 2 <= t <= 26, got {t}")):
                 distinct_core_partitions(t)
 
     @given(st.integers(2, 14))
@@ -248,10 +249,10 @@ class TestSequenceTable:
             assert phi == table.row(t - 1).phi + table.row(t - 2).phi + fibonacci(t - 1)
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            sequence_table(1)
-        with pytest.raises(ValueError):
-            sequence_table(91)
+        for t_max in (1, 91):
+            message = f"t_max must be in [2, 90], got {t_max}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sequence_table(t_max)
 
     def test_parity_always_even(self):
         for row in sequence_table(25).rows:

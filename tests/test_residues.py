@@ -32,8 +32,10 @@ def vectors(draw):
 
 class TestResidueVectorType:
     def test_rejects_short_modulus(self):
-        with pytest.raises(ValueError):
-            ResidueVector(1, ())
+        for bad in (True, 2.5, 2.0, 1):
+            message = f"modulus must be >= 2, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ResidueVector(bad, ())
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):

@@ -39,12 +39,12 @@ WINDOWS = {
     "genfun.support_soundness": (
         {"t_max": 8, "limit": 40}, {"t_max": 2, "limit": 0}, {"t_max": 12, "limit": 60}
     ),
-    "kernel.beta_algebra": ({"n_max": 40}, {"n_max": 0}, {"n_max": 60}),
+    "kernel.beta_algebra": ({"n_max": 40}, {"n_max": 0}, {"n_max": 48}),
     "kernel.column_hooks": ({"n_max": 25}, {"n_max": 0}, {"n_max": 40}),
     "kernel.core_predicates": (
         {"t_max": 12, "n_max": 30}, {"t_max": 2, "n_max": 0}, {"t_max": 20, "n_max": 40}
     ),
-    "kernel.distinct_equivalence": ({"n_max": 40}, {"n_max": 0}, {"n_max": 60}),
+    "kernel.distinct_equivalence": ({"n_max": 40}, {"n_max": 0}, {"n_max": 48}),
     "kernel.distinct_pair_reach": ({"t_max": 12}, {"t_max": 2}, {"t_max": 14}),
     "kernel.pair_core_band": ({"t_max": 10}, {"t_max": 2}, {"t_max": 10}),
     "kernel.pair_enumeration": (
