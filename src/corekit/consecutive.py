@@ -102,14 +102,17 @@ def distinct_core_partitions(t: int) -> tuple[Partition, ...]:
     """All partitions with distinct parts avoiding hooks t and t+1.
 
     Built constructively from sparse subsets of {1,...,t-1} as beta-sets,
-    each through the validating ``partition_of_beta``; sorted by (size,
-    descending-lex parts).
+    each decoded by ``partition_of_beta`` and validated through
+    ``Partition(...)``, since this is the validating side that ``verify``'s
+    ``tt1.count_fibonacci`` compares the trusted
+    :func:`corekit.cores.enumerate_simultaneous_cores` with; sorted by
+    (size, descending-lex parts).
     """
     what = f"need 2 <= t <= {_POPULATION_CAP}"
     _require_ints((t,), 2, what)
     if t > _POPULATION_CAP:
         raise ValueError(f"{what}, got {t}")
-    partitions = [partition_of_beta(bs) for bs in _walk_nice_subsets(t)]
+    partitions = [Partition(partition_of_beta(bs).parts) for bs in _walk_nice_subsets(t)]
     partitions.sort(key=size_lex_key)
     return tuple(partitions)
 

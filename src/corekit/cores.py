@@ -20,12 +20,13 @@ off the ascending beta-set and builds its Partitions through
 ``partitions._trusted_partition``, which skips validation, and ``verify``'s
 pair-core checks test the walk's beta-sets with no Partition at all.
 :func:`enumerate_partitions` builds through the same trusted path: its two
-walks write positive, weakly decreasing parts by construction. The public
-``Partition(...)`` and ``partition_of_beta`` keep validating. In every
-cross-check at most one side takes the trusted path: the other side of
+walks write positive, weakly decreasing parts by construction. So does
+``partitions.partition_of_beta`` once it has validated its input beta-set.
+The public ``Partition(...)`` keeps validating. In every cross-check at
+most one side takes the trusted path: the other side of
 ``tt1.count_fibonacci``'s enumerator comparison,
-``consecutive.distinct_core_partitions``, builds through
-``partition_of_beta``.
+``consecutive.distinct_core_partitions``, validates each partition it
+decodes through ``Partition(...)``.
 
 Independence rule: :func:`enumerate_partitions` shares no code with
 :func:`_walk_cores` or with any beta-set function. It lists partitions by

@@ -11,6 +11,14 @@ for collections (parts, beta-sets, forbidden hook lengths, residue counts,
 series coefficients) and for single arguments (moduli, indices, size
 bounds, verify's bounds), which pass the value as a one-tuple; an upper cap
 keeps its own check.
+
+``Partition(...)`` validates its parts. A partition whose parts are valid by
+construction is built through :func:`_trusted_partition` instead, which
+skips that check: the enumerators of :mod:`corekit.cores`,
+:func:`corekit.consecutive.maximizers`, and :func:`partition_of_beta` once
+:func:`check_beta` has validated its input. ``verify``'s
+``kernel.beta_algebra`` compares every decoded partition with the
+enumerator's, so the decode stays checked.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import pairwise
 from math import comb
+from operator import add, sub
 from typing import Iterable, Iterator
 
 
@@ -70,7 +79,7 @@ EMPTY = Partition()
 
 
 def _trusted_partition(parts: tuple[int, ...]) -> Partition:
-    """A Partition built without validation, for generators whose parts are
+    """A Partition built without validation, for code whose parts are
     positive, weakly decreasing ``int``s by construction. Everything from
     outside goes through ``Partition(...)``, which validates."""
     p = object.__new__(Partition)
@@ -125,8 +134,8 @@ def hook_length_set(p: Partition) -> frozenset[int]:
 
 def beta_set(p: Partition) -> frozenset[int]:
     """First-column hook lengths {part_i + rows - i}, a set of distinct positives."""
-    rows = len(p.parts)
-    return frozenset(part + rows - i for i, part in enumerate(p.parts, start=1))
+    parts = p.parts
+    return frozenset(map(add, parts, range(len(parts) - 1, -1, -1)))
 
 
 def check_beta(beta: Iterable[int]) -> frozenset[int]:
@@ -140,11 +149,14 @@ def partition_of_beta(beta: Iterable[int]) -> Partition:
     """Inverse of :func:`beta_set`.
 
     Sorting the k elements descending as x_1 > ... > x_k, part i is
-    x_i - k + i; weak monotonicity and positivity are automatic.
+    x_i - (k - i). The input is validated; the output skips validation
+    (:func:`_trusted_partition`), since for distinct positive ``int``s
+    x_i >= k - i + 1 makes every part positive and x_i > x_{i+1} keeps the
+    parts weakly decreasing.
     """
     bs = sorted(check_beta(beta), reverse=True)
     k = len(bs)
-    return Partition(tuple(x - k + i for i, x in enumerate(bs, start=1)))
+    return _trusted_partition(tuple(map(sub, bs, range(k - 1, -1, -1))))
 
 
 def size_from_beta(beta: Iterable[int]) -> int:

@@ -18,13 +18,20 @@ eq2 series in :mod:`corekit.series`, a walk over vector prefixes and a DP,
 count the same vectors without listing them, and ``verify`` checks both
 against the beta-set walk's census. :func:`size_of_vector` is the
 independent check of the sizes the walk tracks.
+
+``ResidueVector(...)`` validates its modulus and counts. The vectors read
+off a beta-set are valid by construction, t - 1 counts >= 0 under a modulus
+their callers have already checked, so :func:`_vector_of_beta` builds them
+through :func:`_trusted_vector`, which skips that check. ``verify``'s eta
+checks test them against the hook scan's t-cores: ``eta.roundtrip`` decodes
+each encoded core back to its partition, and ``eta.vector_roundtrip``
+decodes every walked vector and encodes the result again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise
-from math import comb
 from typing import Iterable, Iterator
 
 from .cores import _walk_cores, abacus_is_t_core
@@ -54,6 +61,17 @@ class ResidueVector:
         return sum(self.counts)
 
 
+def _trusted_vector(t: int, counts: tuple[int, ...]) -> ResidueVector:
+    """A ResidueVector built without validation, for a modulus ``t >= 2``
+    already checked and a tuple of t - 1 ``int``s >= 0 by construction.
+    Everything from outside goes through ``ResidueVector(...)``, which
+    validates."""
+    v = object.__new__(ResidueVector)
+    object.__setattr__(v, "modulus", t)
+    object.__setattr__(v, "counts", counts)
+    return v
+
+
 def residue_vector(p: Partition, t: int) -> ResidueVector:
     """Encode the t-core ``p`` as its per-residue beta-set counts.
 
@@ -73,15 +91,17 @@ def _vector_of_beta(beta: Iterable[int], t: int) -> ResidueVector:
     counts = [0] * (t - 1)
     for x in beta:
         counts[x % t - 1] += 1
-    return ResidueVector(t, tuple(counts))
+    return _trusted_vector(t, tuple(counts))
 
 
 def beta_of_vector(v: ResidueVector) -> frozenset[int]:
     """The beta-set a residue vector encodes."""
     t = v.modulus
-    return frozenset(
-        j * t + i for i, n in enumerate(v.counts, start=1) for j in range(n)
-    )
+    beta: set[int] = set()
+    for i, n in enumerate(v.counts, start=1):
+        if n:
+            beta.update(range(i, i + n * t, t))
+    return frozenset(beta)
 
 
 def core_of_vector(v: ResidueVector) -> Partition:
@@ -93,11 +113,15 @@ def size_of_vector(v: ResidueVector) -> int:
     """Size of the encoded partition, without materializing it.
 
     Class i contributes elements i, t+i, ..., summing to i*n_i + t*C(n_i, 2);
-    subtracting C(total, 2) turns the beta-set sum into the partition size.
+    subtracting C(k, 2), with k = n_1 + ... + n_{t-1} elements in all, turns
+    the beta-set sum into the partition size.
     """
     t = v.modulus
-    total = sum(i * n + t * comb(n, 2) for i, n in enumerate(v.counts, start=1))
-    return total - comb(v.total, 2)
+    total = k = 0
+    for i, n in enumerate(v.counts, start=1):
+        k += n
+        total += i * n + t * (n * (n - 1) // 2)
+    return total - k * (k - 1) // 2
 
 
 def separated_support(v: ResidueVector) -> bool:

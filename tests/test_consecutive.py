@@ -153,7 +153,8 @@ class TestExtremes:
         assert [p.parts for p in maximizers(2)] == [(1,)]
 
     def test_maximizers_match_the_beta_set_construction(self):
-        # a frozen copy of the construction through the validating partition_of_beta
+        # a frozen copy of the construction through partition_of_beta, which
+        # validates its beta-sets; the line below validates the parts
         def through_beta_sets(t):
             n, r = divmod(t, 3)
             ks = {0: [n], 1: [n, n + 1], 2: [n + 1]}[r]

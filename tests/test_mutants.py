@@ -14,18 +14,19 @@ from collections import Counter
 
 import pytest
 
-from corekit import consecutive, cores, residues, series, verify
+from corekit import consecutive, cores, partitions, residues, series, verify
 
 
-def source_mutant(module, name, old, new):
+def source_mutant(module, name, old, new, into=None):
     """A mutation that rewrites one fragment of ``module.name``'s source: a
-    monkeypatch that swaps in the function compiled from the edited source."""
+    monkeypatch that swaps in the function compiled from the edited source,
+    in ``module`` or in ``into``, a module that imported the name."""
     source = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert source.count(old) == 1, f"{old!r} is not a fragment of {name}"
     namespace = dict(vars(module))
     flags = __future__.annotations.compiler_flag
     exec(compile(source.replace(old, new), module.__file__, "exec", flags, True), namespace)
-    return lambda monkeypatch: monkeypatch.setattr(module, name, namespace[name])
+    return lambda monkeypatch: monkeypatch.setattr(into or module, name, namespace[name])
 
 
 def census_without_binomial(monkeypatch):
@@ -109,6 +110,15 @@ walk_clamps_at_budget = source_mutant(
 residue_presence_not_count = source_mutant(
     residues, "_vector_of_beta", "counts[x % t - 1] += 1", "counts[x % t - 1] = 1"
 )
+# each residue class decoded one element too long
+residue_class_one_step_long = source_mutant(
+    residues, "beta_of_vector", "range(i, i + n * t, t)", "range(i, i + n * t + 1, t)"
+)
+# every decoded part one smaller, as verify calls it; the output is trusted,
+# so no validation refuses the 0 part this writes
+beta_decode_one_short = source_mutant(
+    partitions, "partition_of_beta", "range(k - 1, -1, -1)", "range(k, 0, -1)", into=verify
+)
 
 
 def beta_set_shifted_past_two_rows(monkeypatch):
@@ -151,6 +161,12 @@ CASES = {
     "walk-clamp": (walk_clamps_at_budget, check("kernel.pair_enumeration", 2), "enumerated 1"),
     "residue-presence": (
         residue_presence_not_count, check("eta.roundtrip", 2, 3), "roundtrip broke"
+    ),
+    "residue-class-length": (
+        residue_class_one_step_long, check("eta.roundtrip", 2, 3), "roundtrip broke"
+    ),
+    "beta-decode": (
+        beta_decode_one_short, check("kernel.beta_algebra", None, 3), "roundtrip broke"
     ),
     "maximizer-parts": (
         maximizer_parts_shifted, check("tt1.extremes", 8), "constructed maximizers differ"

@@ -9,6 +9,7 @@ from corekit import (
     Partition,
     beta_distinct_criterion,
     beta_set,
+    enumerate_partitions,
     hook_length_set,
     hook_lengths,
     partition_of_beta,
@@ -122,16 +123,28 @@ class TestBetaSet:
         assert partition_of_beta({3, 1}) == Partition((2, 1))
 
     def test_rejects_nonpositive_elements(self):
-        with pytest.raises(ValueError):
-            partition_of_beta({0, 2})
+        # the input check stands in for the validation the output skips
+        for bad, element in (({0, 2}, 0), ({0}, 0), ({1.0}, 1.0), ({True}, True)):
+            message = f"beta-set elements must be positive integers, got {element!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                partition_of_beta(bad)
 
     @given(partitions_st)
     def test_roundtrip(self, p):
         assert partition_of_beta(beta_set(p)) == p
 
+    def test_trusted_decode_equals_validated_build(self):
+        for n in range(13):
+            for p in enumerate_partitions(n):
+                decoded = partition_of_beta(beta_set(p))
+                assert decoded == Partition(p.parts) == Partition(decoded.parts), p
+                assert type(decoded.parts) is tuple
+
     @given(beta_sets_st)
     def test_roundtrip_from_beta_side(self, bs):
-        assert beta_set(partition_of_beta(bs)) == bs
+        p = partition_of_beta(bs)
+        assert Partition(p.parts) == p
+        assert beta_set(p) == bs
 
 
 class TestSizeFromBeta:

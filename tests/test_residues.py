@@ -14,6 +14,7 @@ from corekit import (
     iter_core_vectors,
     residue_vector,
     separated_support,
+    series,
     size_of_vector,
 )
 from corekit.cores import _walk_cores
@@ -38,8 +39,9 @@ class TestResidueVectorType:
                 ResidueVector(bad, ())
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            ResidueVector(4, (1, 0))
+        for modulus, counts in ((4, (1, 0)), (3, (1,)), (3, (1, 0, 0))):
+            with pytest.raises(ValueError, match="need exactly"):
+                ResidueVector(modulus, counts)
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
@@ -141,6 +143,19 @@ class TestIterCoreVectors:
     def test_vectors_roundtrip(self, t, bound):
         for v in iter_core_vectors(t, bound):
             assert residue_vector(core_of_vector(v), t) == v
+
+
+class TestTrustedVectors:
+    """The walked vectors skip ResidueVector's validation; each must equal
+    the validated build of its own fields."""
+
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_walked_vectors_equal_validated_builds(self, t):
+        walked = [*iter_core_vectors(t, 12), *series.iter_distinct_core_vectors(t, 30)]
+        assert walked
+        for v in walked:
+            assert v == ResidueVector(v.modulus, v.counts), v
+            assert type(v.counts) is tuple and all(type(n) is int for n in v.counts), v
 
 
 def _walk_core_vectors(t, max_size, distinct):
