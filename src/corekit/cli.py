@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import astuple
 
@@ -49,6 +50,10 @@ def _ranged_int(lo: int, hi: int | None = None):
         try:
             value = int(text)
         except ValueError:
+            # an integer with more digits than int() converts (4300 by default)
+            digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", text)
+            if digits:
+                raise argparse.ArgumentTypeError(f"out of range: {len(digits[1])} digits")
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < lo or (hi is not None and value > hi):
             top = "" if hi is None else f" and <= {hi}"
@@ -95,8 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify",
         help="run the cross-verification checks",
-        description="Run the cross-verification checks: about 7 s at the defaults, "
-        "under a minute at the caps (50 s at --t-max 64 --n-max 240 on a 2-vCPU x86-64 host).",
+        description="Run the cross-verification checks: 6-7 s at the defaults, "
+        "under a minute at the caps (53 s at --t-max 64 --n-max 240 on a 2-vCPU x86-64 host).",
     )
     p_verify.add_argument("--suite", choices=(*verify.SUITE_NAMES, "all"), default="all")
     p_verify.add_argument("--t-max", type=_ranged_int(2, T_MAX_CAP), default=None)
@@ -112,11 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        result = SERIES_METHODS[args.method](args.t, args.limit)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_series(args: argparse.Namespace) -> int:
+    result = SERIES_METHODS[args.method](args.t, args.limit)
     if args.format == "json":
         print(_dumps(result.to_json_dict()))
     else:
@@ -125,11 +127,8 @@ def _cmd_series(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
-def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        found = cores.enumerate_simultaneous_cores(args.t1, args.t2, args.distinct)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    found = cores.enumerate_simultaneous_cores(args.t1, args.t2, args.distinct)
     if args.format == "json":
         payload = {
             "t1": args.t1,
@@ -145,7 +144,7 @@ def _cmd_enumerate(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_stats(args: argparse.Namespace) -> int:
     t = args.t
     count = consecutive.count_distinct_cores(t)
     largest = consecutive.largest_size(t)
@@ -177,11 +176,8 @@ def _row_dict(row: consecutive.SequenceRow) -> dict:
     return dict(zip(TABLE_COLUMNS, astuple(row), strict=True))
 
 
-def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        table = consecutive.sequence_table(args.t_max)
-    except (ValueError, ArithmeticError) as exc:
-        parser.error(str(exc))
+def _cmd_table(args: argparse.Namespace) -> int:
+    table = consecutive.sequence_table(args.t_max)
     if args.format == "json":
         print(_dumps({"t_max": args.t_max, "rows": [_row_dict(r) for r in table.rows]}))
     else:
@@ -191,7 +187,7 @@ def _cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     reports = verify.run_suite(
         args.suite,
         t_max=args.t_max,
@@ -235,8 +231,10 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        code = handlers[args.command](args, parser)
+        code = handlers[args.command](args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except (ValueError, ArithmeticError) as exc:  # a request the library refuses
+        parser.error(str(exc))
     except BrokenPipeError:
         # stdout's buffer still holds unwritten data; point the descriptor at
         # devnull so the flush at exit does not raise again

@@ -9,7 +9,8 @@ Three routes are kept side by side on purpose:
   :func:`distinct_core_series_walk` walks the vectors' prefixes and, since
   the size is a quadratic in the last nonzero entry, counts every choice of
   that entry in one tight loop; :func:`distinct_core_series_dp` sums the
-  vectors by dynamic programming over residues, without listing them. The
+  vectors by dynamic programming over residues, without listing them, with
+  the counts of each (A, K) packed into one big int per state. The
   walk wins when there are few vectors (small t, any limit); the DP when
   there are many. Neither runs the beta-set walk of :mod:`corekit.cores`,
   whose census ``verify`` compares with both. Only the dispatcher has a
@@ -48,10 +49,12 @@ DP_STATE_BYTES_CAP = 1 << 25
 # x86-64, Python 3.11; BENCH_12.json). The walk's constant is a round value
 # at the low end of its times per node where the routes measure within 2x
 # of each other (median 0.22 us); its time per node falls as L grows. The
-# DP's terms are fitted at that script's corners, where SERIES_BUDGET_S cuts
-# off: there a word takes longer than the grid's 1.4 ns.
+# DP's terms are round values refitted for its A-major state (BENCH_21.json):
+# on the same host they leave the estimate over the measured time by the
+# margin the previous K-major state's constants left, on the grid and at the
+# script's corners, where SERIES_BUDGET_S cuts off.
 WALK_NODE_S = 0.15e-6  # per node of the walk's node bound
-DP_WORD_S = 3.0e-9  # per 64-bit word of state a big-int shift, add or mask reads
+DP_WORD_S = 7.0e-9  # per 64-bit word of state a big-int shift, add or mask reads
 DP_OP_S = 1.0e-6  # per big-int operation, on top of its words
 
 # (k_max, top, caps, nodes, width, state_bytes): one eq2 request, derived once
@@ -207,15 +210,16 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
 
     The size of a vector is A - C(K, 2), with A = sum(i*n_i + t*C(n_i, 2))
     and K = sum(n_i). The positions of :func:`_residue_bounds` are taken in
-    turn; the state is (K so far, whether the last entry is nonzero), and
-    each state holds the polynomial in A of its partial vectors, truncated
-    at ``top``. A only grows, so the truncation is exact. The polynomials of
-    all K with one flag are packed into one int, K-major, in slots of
-    ``width`` bytes, which hold any count (Kronecker substitution), so
-    setting n_i = n is one shift of that int by n blocks plus
-    i*n + t*C(n, 2) slots. A block holds 2 * top + 1 slots, so a shifted
-    slot <= top never leaves its block, and one mask per position drops
-    every A > top and every K > k_max.
+    turn; the state is whether the last entry is nonzero, and each state
+    holds the counts of its partial vectors by (A, K). Those of one flag are
+    packed into one int, A-major: slot (A, K) is slot A*(k_max + 1) + K, of
+    ``width`` bytes, which hold any count (Kronecker substitution). Setting
+    n_i = n is then one shift of that int by (i*n + t*C(n, 2))*(k_max + 1)
+    + n slots, and one low-bits mask per position keeps the slots A <= top.
+    That truncation is exact: A only grows, and the beta-set of a partial
+    vector has K elements, none consecutive, so A >= 1 + 3 + ... + (2K - 1)
+    = K^2. As top < (k_max + 1)^2, every term with A <= top has K <= k_max
+    and its own slot, and every other term, or carry, lands past the cut.
     """
     _check_args(t, limit)
     return _dp(t, limit, _residue_bounds(t, limit))
@@ -227,23 +231,26 @@ def _dp(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
         raise ValueError(
             f"residue DP state for t={t}, limit={limit} exceeds {DP_STATE_BYTES_CAP} bytes"
         )
-    block = 2 * top + 1
+    row = k_max + 1
     bits = 8 * width
-    keep = b"\xff" * ((top + 1) * width) + bytes(top * width)
-    mask = int.from_bytes(keep * (k_max + 1), "little")
+    mask = (1 << (top + 1) * row * bits) - 1
     zero, nonzero = 1, 0  # last entry zero (or no entry yet) / nonzero
     for i, cap in enumerate(caps, start=1):  # cap >= 1, as i <= limit <= top
-        grown = zero << (block + i) * bits
+        grown = zero << (i * row + 1) * bits
         for n in range(2, cap + 1):
-            grown += zero << (n * block + i * n + t * comb(n, 2)) * bits
+            grown += zero << ((i * n + t * comb(n, 2)) * row + n) * bits
         zero, nonzero = zero + nonzero, grown & mask
-    # size = A - C(K, 2): block K, read from slot C(K, 2) on, adds to sizes 0..limit
+    # size = A - C(K, 2): column K, read from row C(K, 2) on, adds to sizes 0..limit
     raw = (zero + nonzero).to_bytes(state_bytes, "little")
+    stride = row * width
     span = (limit + 1) * width
+    column = bytearray(span)
     packed = 0
-    for k in range(k_max + 1):
-        start = (k * block + comb(k, 2)) * width
-        packed += int.from_bytes(raw[start : start + span], "little")
+    for k in range(row):
+        start = (comb(k, 2) * row + k) * width
+        for b in range(width):  # byte b of every slot in the column
+            column[b::width] = raw[start + b : start + b + (limit + 1) * stride : stride]
+        packed += int.from_bytes(column, "little")
     raw = packed.to_bytes(span, "little")
     coeffs = tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, span, width))
     return _trusted_series(coeffs, t)
@@ -268,12 +275,8 @@ def eq2_costs(t: int, limit: int) -> dict[str, float]:
 
 def _costs(bounds: _Bounds) -> dict[str, float]:
     _, _, caps, nodes, _, state_bytes = bounds
-    # past 64 KiB a word costs a third more, and faulting in the fresh pages
-    # each new int lands on costs about three more passes per position
-    big = state_bytes > 1 << 16
-    passes = sum(2 * cap + (5 if big else 2) for cap in caps)
-    word_s = DP_WORD_S * 4 / 3 if big else DP_WORD_S
-    dp_s = passes * (DP_OP_S + word_s * state_bytes / 8)
+    passes = sum(2 * cap + 2 for cap in caps)
+    dp_s = passes * (DP_OP_S + DP_WORD_S * state_bytes / 8)
     walk_s = WALK_NODE_S * nodes if nodes < 1 << 1000 else inf  # float() overflows near 2**1024
     return {"walk": walk_s, "dp": dp_s if state_bytes <= DP_STATE_BYTES_CAP else inf}
 
@@ -283,22 +286,24 @@ def _residue_bounds(t: int, limit: int) -> _Bounds:
     of an eq2 request, for both routes and :func:`eq2_costs`.
 
     A partition with K distinct parts has size >= K(K+1)/2, so K <= k_max.
-    Its A = size + C(K, 2) is then at most top = limit + C(k_max, 2), and
-    n_i is at most caps[i - 1], the largest n <= k_max with
-    i*n + t*C(n, 2) <= top. A nonzero n_i puts i in the beta-set, whose
-    elements are first-column hook lengths, and no hook of a partition of
-    n (at most lambda_1 + l - 1 <= n) exceeds n: so positions past ``limit``
-    only hold 0, and ``caps`` has min(t - 1, limit) entries. ``nodes``
+    Its A = size + C(K, 2) is then at most top = limit + C(k_max, 2), which
+    is below (k_max + 1)^2 as limit < C(k_max + 2, 2), and n_i is at most
+    caps[i - 1], the largest n <= k_max with i*n + t*C(n, 2) <= top. A
+    nonzero n_i puts i in the beta-set, whose elements are first-column
+    hook lengths, and no hook of a partition of n (at most
+    lambda_1 + l - 1 <= n) exceeds n: so positions past ``limit`` only
+    hold 0, and ``caps`` has min(t - 1, limit) entries. ``nodes``
     counts the tuples within the caps with no two adjacent entries nonzero:
     it bounds the vectors the walk counts.
 
-    A DP slot counts the partial vectors of one (K, A) with A <= 2 * top.
-    Each encodes a distinct-part partition of size A - C(K, 2) <= 2 * top,
-    so there are at most ``nodes`` and fewer than
-    p(2 * top) < exp(pi * sqrt(4 * top / 3)) (Apostol, *Introduction to
+    A DP slot kept past a position counts the partial vectors of one
+    (A, K) with A <= top. Each encodes a distinct-part partition of size
+    A - C(K, 2) <= top, and distinct vectors encode distinct partitions, so
+    there are at most ``nodes`` and fewer than
+    p(top) < exp(pi * sqrt(2 * top / 3)) (Apostol, *Introduction to
     Analytic Number Theory*, ch. 14). ``width`` is the whole bytes for the
     smaller bound, plus one bit of margin for the float's rounding, and the
-    DP's state of k_max + 1 blocks of 2 * top + 1 slots has ``state_bytes``.
+    DP's state of top + 1 rows of k_max + 1 slots has ``state_bytes``.
     """
     k_max = (isqrt(8 * limit + 1) - 1) // 2
     top = limit + comb(k_max, 2)
@@ -311,8 +316,8 @@ def _residue_bounds(t: int, limit: int) -> _Bounds:
         caps.append(n)
         zero, nonzero = zero + nonzero, zero * n
     nodes = zero + nonzero
-    width = (min(nodes.bit_length(), ceil(pi * sqrt(4 * top / 3) / log(2)) + 1) + 7) // 8
-    return k_max, top, caps, nodes, width, (k_max + 1) * (2 * top + 1) * width
+    width = (min(nodes.bit_length(), ceil(pi * sqrt(2 * top / 3) / log(2)) + 1) + 7) // 8
+    return k_max, top, caps, nodes, width, (top + 1) * (k_max + 1) * width
 
 
 def distinct_core_series_closed(t: int, limit: int) -> CoefficientSeries:

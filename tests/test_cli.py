@@ -62,6 +62,13 @@ class TestSeriesCommand:
         assert code == 0
         assert out.splitlines() == ["1"]
 
+    def test_limit_too_long_to_convert_is_out_of_range(self, capsys):
+        # int() refuses over 4300 digits: the value is out of range, not junk,
+        # and the refusal does not echo its digits
+        expect_usage_error(["series", "--t", "3", "--limit", "9" * 5000])
+        err = capsys.readouterr().err
+        assert "out of range: 5000 digits" in err and "9" * 20 not in err
+
     def test_json(self, capsys):
         code, out, _ = run_ok(
             capsys, ["series", "--t", "3", "--limit", "9", "--format", "json"]
@@ -145,7 +152,7 @@ class TestSeriesCommand:
     def test_thousand_within_budget(self, capsys, limit):
         # every n <= limit is below t = 1000, so each coefficient is q(n), the
         # number of partitions of n into distinct parts: the DP's slots are
-        # sized by p(2 * top), not by the far larger count of tuples, and its
+        # sized by p(top), not by the far larger count of tuples, and its
         # positions stop at the limit, past which no hook reaches
         argv = ["series", "--t", "1000", "--limit", str(limit), "--format", "json"]
         out = run_within_budget(capsys, argv, series.SERIES_BUDGET_S)
@@ -162,10 +169,10 @@ class TestSeriesCommand:
         # 2.5e11 walk nodes; the DP state would need gigabytes
         expect_usage_error(["series", "--t", "8", "--limit", "1000000"])
         assert "budget" in capsys.readouterr().err
-        # an estimate of 5.00004 s, which three digits would print as the budget
-        expect_usage_error(["series", "--t", "1000", "--limit", "637"])
+        # an estimate of 5.00001 s, which three digits would print as the budget
+        expect_usage_error(["series", "--t", "11", "--limit", "6508"])
         err = capsys.readouterr().err
-        assert "estimated at 5.00004" in err and "admitted at t=1000 is 636" in err
+        assert "estimated at 5.00001" in err and "admitted at t=11 is 6507" in err
         # at the caps of --t and --limit the refusal, with its search, stays quick
         started = time.perf_counter()
         expect_usage_error(["series", "--t", str(cli.SERIES_T_CAP), "--limit", "1000000"])
@@ -177,7 +184,7 @@ class TestSeriesCommand:
         expect_usage_error(["series", "--t", "10000", "--limit", "1000000"])
         err = capsys.readouterr().err
         assert "inf" not in err and "out of reach" in err
-        assert "admitted at t=10000 is 658" in err
+        assert "admitted at t=10000 is 927" in err
 
 
 class TestEnumerateCommand:

@@ -73,7 +73,7 @@ def dp_one_byte_slots(monkeypatch):
 
     def narrow(t, limit):
         k_max, top, caps, nodes, _, _ = bounds(t, limit)
-        return k_max, top, caps, nodes, 1, (k_max + 1) * (2 * top + 1)
+        return k_max, top, caps, nodes, 1, (top + 1) * (k_max + 1)
 
     monkeypatch.setattr(series, "_residue_bounds", narrow)
 

@@ -110,7 +110,7 @@ class TestEq2Routes:
 
     @pytest.mark.parametrize(("t", "limit"), [(6, 3000), (8, 1000), (10, 500), (12, 300)])
     def test_walk_equals_dp_and_census_where_packing_matters(self, t, limit):
-        # far past the limits above: k_max, the truncation at 2 * top and the
+        # far past the limits above: k_max, the truncation at top and the
         # 3-byte DP slots all matter here, and the census is still cheap
         census = [0] * (limit + 1)
         for _, size in _walk_cores(t, limit, True):
@@ -158,7 +158,7 @@ class TestEq2Routes:
         ("t", "limit", "multibyte"), [(6, 1400, False), (16, 80, True), (30, 60, True)]
     )
     def test_wide_slots_match_walk(self, t, limit, multibyte):
-        # t = 6 packs 53 K-blocks of 2 * 2726 + 1 slots; at t = 16 and 30
+        # t = 6 packs 2727 rows of 53 slots, one per A <= 2726; at t = 16 and 30
         # coefficients need more than one byte of their slot
         dp = series.distinct_core_series_dp(t, limit)
         assert dp == series.distinct_core_series_walk(t, limit)
