@@ -12,12 +12,18 @@ unscaled, as a caller waits for it). One corner, t = 1000, has t far above
 L: nearly every position there has cap 1, so its few operations per
 position each make a fresh int of the whole state.
 
-``median_measured_over_estimate`` gives, per route, the factor a refit
-scales that route's constants by: the median of measured over estimated
-seconds where its constants were fitted. For the walk these are the grid
-points whose two routes measured within ``CROSSOVER_BAND`` of each other;
-for the DP, the corners it serves, since the largest states run slower
-per word than the grid's.
+``median_measured_over_estimate`` gives, per route, the median of
+measured over estimated seconds where its constants were fitted. For the
+walk these are the grid points whose two routes measured within
+``CROSSOVER_BAND`` of each other; for the DP, the corners it serves, since
+the largest states run slower per word than the grid's. It shows the
+margin the estimate leaves; it is not a factor to scale the constants by.
+The last refit, for the DP's A-major state (``BENCH_21.json``), kept the
+previous constants' margin instead: on one host, with both versions timed
+on the grid and at the corners, each point's target was the old estimate
+times the new measured time over the old. Scaling the DP's constants by
+this median (0.35-0.50 there) would admit limits whose calls take about
+the whole ``series.SERIES_BUDGET_S``.
 
 The grid is chosen independently of the benchmark's inputs.
 

@@ -1,5 +1,11 @@
 """Command-line surface: series, enumerate, stats, table, verify.
 
+Each subcommand's handler is declared with its parser. It computes the
+answer and returns ``(exit code, payload, lines)``: ``payload`` is a
+zero-argument callable that builds the JSON object, and ``lines`` a lazy
+iterable of the text or CSV lines. Only ``main`` reads ``--format``; it
+prints the one the format asks for, so each format does only its own work.
+
 Exit codes: 0 on success, 1 when a verification check fails or the reader
 closes stdout early (``corekit enumerate ... | head``), 2 on usage errors.
 Data goes to stdout; progress chatter goes to stderr. JSON payloads
@@ -13,6 +19,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import astuple
 
 from . import consecutive, cores, series, verify
@@ -28,12 +35,12 @@ SERIES_METHODS = {
     "closed": series.distinct_core_series_closed,
     "oracle": series.distinct_core_series_brute,
 }
+# stats: --t bounds the numbers it prints; F(t + 1) has about t/5 digits
+STATS_T_CAP = 10_000
 # table: the names of SequenceRow's fields, in field order
 TABLE_COLUMNS = ("t", "a", "b", "c", "d", "e", "phi", "psi", "F")
-
-
-def _dumps(payload: dict) -> str:
-    return json.dumps(payload, separators=(",", ":"))
+# what a handler returns: exit code, JSON payload builder, text lines
+Answer = tuple[int, Callable[[], dict], Iterable[str]]
 
 
 def _partition_dict(p: Partition) -> dict:
@@ -41,8 +48,12 @@ def _partition_dict(p: Partition) -> dict:
 
 
 def _partition_line(p: Partition) -> str:
-    info = _partition_dict(p)
-    return f"parts={info['parts']} size={info['size']} beta={info['beta']}"
+    return " ".join(f"{name}={value}" for name, value in _partition_dict(p).items())
+
+
+def _clip(text: str, show: Callable[[str], str] = repr) -> str:
+    """``show(text)``; past 20 characters, ``show`` of its first 20 and its length."""
+    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} characters)"
 
 
 def _ranged_int(lo: int, hi: int | None = None):
@@ -54,10 +65,10 @@ def _ranged_int(lo: int, hi: int | None = None):
             digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", text)
             if digits:
                 raise argparse.ArgumentTypeError(f"out of range: {len(digits[1])} digits")
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+            raise argparse.ArgumentTypeError(f"not an integer: {_clip(text)}")
         if value < lo or (hi is not None and value > hi):
             top = "" if hi is None else f" and <= {hi}"
-            raise argparse.ArgumentTypeError(f"must be >= {lo}{top}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be >= {lo}{top}, got {_clip(str(value), str)}")
         return value
 
     return parse
@@ -82,26 +93,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "cheaper; closed: closed form (t=2,3,4); oracle: brute-force partition filter",
     )
     p_series.add_argument("--format", choices=("json", "text"), default="text")
+    p_series.set_defaults(handler=_cmd_series)
 
     p_enum = sub.add_parser("enumerate", help="all partitions avoiding two coprime hook lengths")
     p_enum.add_argument("--t1", type=_ranged_int(1), required=True)
     p_enum.add_argument("--t2", type=_ranged_int(1), required=True)
     p_enum.add_argument("--distinct", action="store_true", help="restrict to distinct parts")
     p_enum.add_argument("--format", choices=("json", "text"), default="text")
+    p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_stats = sub.add_parser("stats", help="count / largest / total / average for hooks t, t+1")
-    p_stats.add_argument("--t", type=_ranged_int(2, 10000), required=True)
+    p_stats.add_argument("--t", type=_ranged_int(2, STATS_T_CAP), required=True)
     p_stats.add_argument("--format", choices=("json", "text"), default="text")
+    p_stats.set_defaults(handler=_cmd_stats)
 
     p_table = sub.add_parser("table", help="statistics ladder rows t = 2..t_max")
     p_table.add_argument("--t-max", type=_ranged_int(2, consecutive.TABLE_CAP), required=True)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_table.set_defaults(handler=_cmd_table)
 
     p_verify = sub.add_parser(
         "verify",
         help="run the cross-verification checks",
-        description="Run the cross-verification checks: 6-7 s at the defaults, "
-        "under a minute at the caps (53 s at --t-max 64 --n-max 240 on a 2-vCPU x86-64 host).",
+        description="Run the cross-verification checks: 6-7 s at the defaults, under a minute "
+        "at the caps (41-45 s at --t-max 64 --n-max 240 on a 2-vCPU x86-64 Xeon host).",
     )
     p_verify.add_argument("--suite", choices=(*verify.SUITE_NAMES, "all"), default="all")
     p_verify.add_argument("--t-max", type=_ranged_int(2, T_MAX_CAP), default=None)
@@ -113,125 +128,98 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ignored: checks run one at a time (accepted for older scripts)",
     )
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
+    p_verify.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: argparse.Namespace) -> Answer:
     result = SERIES_METHODS[args.method](args.t, args.limit)
-    if args.format == "json":
-        print(_dumps(result.to_json_dict()))
-    else:
-        for c in result.coeffs:
-            print(c)
-    return 0
+    return 0, result.to_json_dict, map(str, result.coeffs)
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> Answer:
     found = cores.enumerate_simultaneous_cores(args.t1, args.t2, args.distinct)
-    if args.format == "json":
-        payload = {
+
+    def payload() -> dict:
+        return {
             "t1": args.t1,
             "t2": args.t2,
             "distinct": args.distinct,
             "count": len(found),
             "partitions": [_partition_dict(p) for p in found],
         }
-        print(_dumps(payload))
-    else:
-        for p in found:
-            print(_partition_line(p))
-    return 0
+
+    return 0, payload, map(_partition_line, found)
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    t = args.t
-    count = consecutive.count_distinct_cores(t)
-    largest = consecutive.largest_size(t)
-    tops = consecutive.maximizers(t)
-    total = consecutive.total_size(t)
-    average = consecutive.average_size(t)
-    if args.format == "json":
-        payload = {
-            "t": t,
-            "count": count,
-            "largest_size": largest,
-            "maximizer_count": len(tops),
-            "maximizers": [_partition_dict(p) for p in tops],
-            "total_size": total,
-            "average_size": str(average),
-        }
-        print(_dumps(payload))
-    else:
-        print(f"count={count}")
-        print(f"largest_size={largest}")
-        print(f"maximizer_count={len(tops)}")
-        print(f"maximizers={[list(p.parts) for p in tops]}")
-        print(f"total_size={total}")
-        print(f"average_size={average}")
-    return 0
+def _cmd_stats(args: argparse.Namespace) -> Answer:
+    tops = consecutive.maximizers(args.t)
+    fields = {
+        "count": consecutive.count_distinct_cores(args.t),
+        "largest_size": consecutive.largest_size(args.t),
+        "maximizer_count": len(tops),
+        "maximizers": [list(p.parts) for p in tops],
+        "total_size": consecutive.total_size(args.t),
+        "average_size": str(consecutive.average_size(args.t)),
+    }
+    # JSON gives each maximizer as a partition record, text as its parts
+    return (
+        0,
+        lambda: {"t": args.t, **fields, "maximizers": [_partition_dict(p) for p in tops]},
+        (f"{name}={value}" for name, value in fields.items()),
+    )
 
 
-def _row_dict(row: consecutive.SequenceRow) -> dict:
-    return dict(zip(TABLE_COLUMNS, astuple(row), strict=True))
+def _cmd_table(args: argparse.Namespace) -> Answer:
+    rows = [astuple(row) for row in consecutive.sequence_table(args.t_max).rows]
+    return (
+        0,
+        lambda: {
+            "t_max": args.t_max,
+            "rows": [dict(zip(TABLE_COLUMNS, row, strict=True)) for row in rows],
+        },
+        (",".join(map(str, row)) for row in (TABLE_COLUMNS, *rows)),
+    )
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    table = consecutive.sequence_table(args.t_max)
-    if args.format == "json":
-        print(_dumps({"t_max": args.t_max, "rows": [_row_dict(r) for r in table.rows]}))
-    else:
-        print(",".join(TABLE_COLUMNS))
-        for row in table.rows:
-            print(",".join(map(str, astuple(row))))
-    return 0
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Answer:
     reports = verify.run_suite(
         args.suite,
         t_max=args.t_max,
         n_max=args.n_max,
         progress=lambda name: print(f"running {name}", file=sys.stderr),
     )
-    failed = [r for r in reports if not r.passed]
-    if args.format == "json":
-        payload = {
+    passed = sum(r.passed for r in reports)
+
+    def payload() -> dict:
+        return {
             "suite": args.suite,
             "t_max": args.t_max,
             "n_max": args.n_max,
-            "summary": {
-                "total": len(reports),
-                "passed": len(reports) - len(failed),
-                "failed": len(failed),
-            },
+            "summary": {"total": len(reports), "passed": passed, "failed": len(reports) - passed},
             "checks": [r.to_json_dict() for r in reports],
         }
-        print(_dumps(payload))
-    else:
+
+    def lines() -> Iterator[str]:
         for r in reports:
-            tag = "PASS" if r.passed else "FAIL"
             extras = " ".join(f"{k}={v}" for k, v in r.params.items())
-            line = f"{tag} {r.check} {extras} [{r.elapsed_ms:.1f} ms]"
-            if r.detail:
-                line += f" :: {r.detail}"
-            print(line)
-        print(f"passed {len(reports) - len(failed)}/{len(reports)} checks")
-    return 1 if failed else 0
+            line = f"{r.status.upper()} {r.check} {extras} [{r.elapsed_ms:.1f} ms]"
+            yield f"{line} :: {r.detail}" if r.detail else line
+        yield f"passed {passed}/{len(reports)} checks"
+
+    return int(passed < len(reports)), payload, lines()
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "series": _cmd_series,
-        "enumerate": _cmd_enumerate,
-        "stats": _cmd_stats,
-        "table": _cmd_table,
-        "verify": _cmd_verify,
-    }
     try:
-        code = handlers[args.command](args)
+        code, payload, lines = args.handler(args)
+        if args.format == "json":
+            lines = [json.dumps(payload(), separators=(",", ":"))]
+        for line in lines:
+            print(line)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except (ValueError, ArithmeticError) as exc:  # a request the library refuses
         parser.error(str(exc))

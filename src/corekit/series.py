@@ -52,7 +52,9 @@ DP_STATE_BYTES_CAP = 1 << 25
 # DP's terms are round values refitted for its A-major state (BENCH_21.json):
 # on the same host they leave the estimate over the measured time by the
 # margin the previous K-major state's constants left, on the grid and at the
-# script's corners, where SERIES_BUDGET_S cuts off.
+# script's corners, where SERIES_BUDGET_S cuts off. They are not scaled by the
+# script's median_measured_over_estimate (0.35-0.50 for the DP there), which
+# would admit limits whose calls take about the whole budget.
 WALK_NODE_S = 0.15e-6  # per node of the walk's node bound
 DP_WORD_S = 7.0e-9  # per 64-bit word of state a big-int shift, add or mask reads
 DP_OP_S = 1.0e-6  # per big-int operation, on top of its words

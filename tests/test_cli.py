@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -68,6 +69,21 @@ class TestSeriesCommand:
         expect_usage_error(["series", "--t", "3", "--limit", "9" * 5000])
         err = capsys.readouterr().err
         assert "out of range: 5000 digits" in err and "9" * 20 not in err
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--limit", "x" * 3000), ("--limit", "-" + "9" * 2999),
+         ("--t", "x" * 3000), ("--t", "9" * 3000)],
+        ids=["limit-junk", "limit-negative", "t-junk", "t-over-cap"],
+    )
+    def test_long_argument_is_not_echoed(self, capsys, option, value):
+        # the usage error quotes a short prefix and the length, not the argument
+        argv = ["series", "--t", "3", "--limit", "9"]
+        argv[argv.index(option) + 1] = value
+        expect_usage_error(argv)
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300
+        assert "(3000 characters)" in err
 
     def test_json(self, capsys):
         code, out, _ = run_ok(
@@ -296,7 +312,7 @@ class TestStatsCommand:
 
     def test_cap_within_budget(self, capsys):
         # the largest t the CLI accepts must answer in seconds, not minutes
-        t = 10000
+        t = cli.STATS_T_CAP
         out = run_within_budget(capsys, ["stats", "--t", str(t), "--format", "json"])
         # F, phi (double convolution) and psi (triple) from n = 1 up to t + 1:
         # phi_n = phi_{n-1} + phi_{n-2} + F_{n-1}, psi_n = psi_{n-1} + psi_{n-2} + phi_{n-1}
@@ -457,13 +473,88 @@ def test_missing_command_is_usage_error():
     expect_usage_error([])
 
 
+def series_agree(lines, payload):
+    assert [int(line) for line in lines] == payload["coeffs"]
+
+
+def enumerate_agree(lines, payload):
+    assert payload["count"] == len(lines) > 0
+    for line, p in zip(lines, payload["partitions"], strict=True):
+        assert line == f"parts={p['parts']} size={p['size']} beta={p['beta']}"
+
+
+def stats_agree(lines, payload):
+    text = dict(line.split("=", 1) for line in lines)
+    assert ["t", *text] == list(payload)
+    assert ast.literal_eval(text.pop("maximizers")) == [m["parts"] for m in payload["maximizers"]]
+    assert text == {name: str(payload[name]) for name in text}
+
+
+def table_agree(lines, payload):
+    header, *rows = (line.split(",") for line in lines)
+    assert len(rows) == len(payload["rows"]) == payload["t_max"] - 1
+    for row, record in zip(rows, payload["rows"], strict=True):
+        assert header == list(record)
+        assert row == [str(value) for value in record.values()]
+
+
+def verify_agree(lines, payload):
+    *reports, summary = lines
+    assert [line.split()[:2] for line in reports] == [
+        [c["status"].upper(), c["check"]] for c in payload["checks"]
+    ]
+    counts = payload["summary"]
+    assert summary == f"passed {counts['passed']}/{counts['total']} checks"
+
+
+AGREE = {
+    "series": series_agree,
+    "enumerate": enumerate_agree,
+    "stats": stats_agree,
+    "table": table_agree,
+    "verify": verify_agree,
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--t", "3", "--limit", "9"],
+        ["series", "--t", "7", "--limit", "80"],
+        ["series", "--t", "4", "--limit", "30", "--method", "closed"],
+        ["enumerate", "--t1", "4", "--t2", "5", "--distinct"],
+        ["enumerate", "--t1", "3", "--t2", "7"],
+        ["enumerate", "--t1", "1", "--t2", "5"],
+        ["stats", "--t", "2"],
+        ["stats", "--t", "4"],
+        ["stats", "--t", "40"],
+        ["table", "--t-max", "2"],
+        ["table", "--t-max", "30"],
+        ["verify", "--suite", "tt1", "--t-max", "6"],
+        ["verify", "--suite", "eta", "--t-max", "3", "--n-max", "6"],
+    ],
+    ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
+)
+def test_text_and_json_agree(capsys, monkeypatch, argv):
+    """Each command's text (CSV for table) and JSON carry the same answer."""
+    if argv[0] == "verify":  # a failing check, so that the output shows both statuses
+        broken = verify.Check(lambda: "forced counterexample", {})
+        checks = {**verify.CHECKS, "tt1.broken": broken, "eta.broken": broken}
+        monkeypatch.setattr(verify, "CHECKS", checks)
+    text_format = "csv" if argv[0] == "table" else "text"
+    text_code, text, _ = run_ok(capsys, [*argv, "--format", text_format])
+    json_code, out, _ = run_ok(capsys, [*argv, "--format", "json"])
+    assert text_code == json_code == int(argv[0] == "verify")
+    AGREE[argv[0]](text.splitlines(), json.loads(out))
+
+
 # Every numeric option with the largest value its parser or library admits.
 # enumerate caps the pair's gap cells, not t1 or t2: (2, 101) is the largest
-# pair with 2 and at most 50 cells. stats caps --t at 10 000 in the parser.
+# pair with 2 and at most 50 cells. stats caps --t at STATS_T_CAP in the parser.
 NUMERIC_OPTIONS = {
     "series": {"--t": cli.SERIES_T_CAP, "--limit": series.SERIES_LIMIT_CAP},
     "enumerate": {"--t1": 101, "--t2": 101},
-    "stats": {"--t": 10_000},
+    "stats": {"--t": cli.STATS_T_CAP},
     "table": {"--t-max": consecutive.TABLE_CAP},
     "verify": {"--t-max": cli.T_MAX_CAP, "--n-max": cli.N_MAX_CAP, "--jobs": 256},
 }
