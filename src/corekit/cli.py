@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import astuple
 
 from . import consecutive, cores, series, verify
-from .partitions import Partition, beta_set
+from .partitions import Partition, _clip, beta_set
 
 T_MAX_CAP = 64
 N_MAX_CAP = 240
@@ -49,11 +49,6 @@ def _partition_dict(p: Partition) -> dict:
 
 def _partition_line(p: Partition) -> str:
     return " ".join(f"{name}={value}" for name, value in _partition_dict(p).items())
-
-
-def _clip(text: str, show: Callable[[str], str] = repr) -> str:
-    """``show(text)``; past 20 characters, ``show`` of its first 20 and its length."""
-    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} characters)"
 
 
 def _ranged_int(lo: int, hi: int | None = None):

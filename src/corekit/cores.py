@@ -9,10 +9,10 @@ suite.
 :func:`_walk_cores`, one walk over the beta-sets closed under subtracting
 one or two moduli, lists the (t1, t2)-cores here and the t-cores behind
 :mod:`corekit.residues`. It keeps only each beta-set and its size, and
-its callers derive anything else from the beta-set; its buffer is sized by
-the size budget, never by a modulus. Its distinct-part size census is the
-third side of ``verify``'s comparison of the two eq2 routes of
-:mod:`corekit.series`, neither of which runs it.
+its callers derive anything else from the beta-set; its two byte buffers
+are sized by the size budget, never by a modulus. Its distinct-part size
+census is the third side of ``verify``'s comparison of the two eq2 routes
+of :mod:`corekit.series`, neither of which runs it.
 
 The walks' output is trusted, because a partition they build is valid by
 construction. :func:`enumerate_simultaneous_cores` reads each part straight
@@ -20,13 +20,16 @@ off the ascending beta-set and builds its Partitions through
 ``partitions._trusted_partition``, which skips validation, and ``verify``'s
 pair-core checks test the walk's beta-sets with no Partition at all.
 :func:`enumerate_partitions` builds through the same trusted path: its two
-walks write positive, weakly decreasing parts by construction. So does
-``partitions.partition_of_beta`` once it has validated its input beta-set.
-The public ``Partition(...)`` keeps validating. In every cross-check at
-most one side takes the trusted path: the other side of
-``tt1.count_fibonacci``'s enumerator comparison,
-``consecutive.distinct_core_partitions``, validates each partition it
-decodes through ``Partition(...)``.
+walks write positive, weakly decreasing parts by construction. Two beta-set
+decodes build through it too: ``partitions.partition_of_beta`` once it has
+validated its input beta-set, and ``residues.core_of_vector``, whose
+beta-set ``residues.beta_of_vector`` builds from distinct positive ``int``s,
+so it skips ``check_beta`` as well. The public ``Partition(...)`` keeps
+validating. In every cross-check at most one side decodes a beta-set on
+the trusted path: the other side of ``tt1.count_fibonacci``'s enumerator
+comparison, ``consecutive.distinct_core_partitions``, validates each
+partition it decodes through ``Partition(...)``, and the other side of
+``eta.roundtrip`` is the hook scan's t-cores, which decode nothing.
 
 Independence rule: :func:`enumerate_partitions` shares no code with
 :func:`_walk_cores` or with any beta-set function. It lists partitions by
@@ -40,7 +43,7 @@ from math import comb, gcd
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .partitions import Partition, _column_heights, _require_ints, _trusted_partition
+from .partitions import Partition, _clip, _column_heights, _require_ints, _trusted_partition
 
 PARTITION_ENUM_CAP = 120
 GAP_CELL_CAP = 50
@@ -68,8 +71,12 @@ def is_core(p: Partition, forbidden: Iterable[int]) -> bool:
 def abacus_is_t_core(beta: Iterable[int], t: int) -> bool:
     """Beta-set test for t-cores: every x >= t in the set must have x - t in it too."""
     _require_ints((t,), 1, "modulus must be >= 1")
-    bs = frozenset(beta)
-    return all(x - t in bs for x in bs if x >= t)
+    return _closed_under(frozenset(beta), t)
+
+
+def _closed_under(bs: frozenset[int], t: int) -> bool:
+    """:func:`abacus_is_t_core` for a modulus ``t >= 1`` already checked."""
+    return bs.issuperset([x - t for x in bs if x >= t])
 
 
 def enumerate_partitions(n: int, distinct_only: bool = False) -> Iterator[Partition]:
@@ -143,7 +150,12 @@ def enumerate_partitions(n: int, distinct_only: bool = False) -> Iterator[Partit
 def _check_coprime_pair(t1: int, t2: int) -> None:
     _require_ints((t1, t2), 1, "need positive integers")
     if t1 == t2 or gcd(t1, t2) != 1:
-        raise ValueError(f"({t1}, {t2}) is not a coprime pair")
+        raise ValueError(f"{_pair_text(t1, t2)} is not a coprime pair")
+
+
+def _pair_text(t1: int, t2: int) -> str:
+    """The pair for a message, each modulus past 20 digits clipped."""
+    return f"({_clip(str(t1), str)}, {_clip(str(t2), str)})"
 
 
 def enumerate_simultaneous_cores(
@@ -158,9 +170,9 @@ def enumerate_simultaneous_cores(
     A beta-set avoids both hooks exactly when it is closed under subtracting
     t1 and t2, which keeps it inside the (t1 - 1)(t2 - 1)/2 gaps of the
     semigroup <t1, t2>; a pair with more than ``max_gaps`` gaps is refused
-    before any work. :func:`_walk_cores` visits one node per core, testing
-    at most min(t1, t2) candidates per node, so the cost grows with the
-    number of cores, not gaps times cores. Its size budget,
+    before any work. :func:`_walk_cores` visits one node per core and finds
+    each next element with one search over its free-slot map, so the cost
+    grows with the number of cores, not gaps times cores. Its size budget,
     :func:`olsson_stanton_max`, cuts no (t1, t2)-core.
 
     Sorted by (size, descending-lex parts).
@@ -168,7 +180,9 @@ def enumerate_simultaneous_cores(
     _check_coprime_pair(t1, t2)
     if (t1 - 1) * (t2 - 1) // 2 > max_gaps:
         # a count past the cap is not printed: it can be too long for str()
-        raise ValueError(f"gap set for ({t1}, {t2}) has more than {max_gaps} gap cells")
+        raise ValueError(
+            f"gap set for {_pair_text(t1, t2)} has more than {max_gaps} gap cells"
+        )
     # beta ascending as b_0 < ... < b_{k-1}: part j is b_j - j, smallest first
     found = [
         (tuple([b - j for j, b in enumerate(beta)][::-1]), size)
@@ -197,38 +211,70 @@ def _walk_cores(
     v by the last element plus min(moduli); k parts summing to >= k bound
     it by ``max_size``. The stack is explicit: at t = 2 the walk is
     sqrt(2 * max_size) deep.
+
+    With moduli low <= high, ``free[v]`` is 1 iff v - low and v - high are
+    each in the beta-set or negative, so a node's next child is the first
+    free slot past its last element, found by one ``bytearray.find``.
+    Elements join in ascending order, so v - high is settled before v - low
+    joins: pushing x sets the one slot ``free[x + low]`` to whether
+    x + low - high is present, and popping x clears it again. No slot past
+    the last element plus low is free, so a node's window, which ends there
+    or at the budget, only bounds the scan; it is computed once, when the
+    node is entered, and kept on a stack. In distinct mode the search starts
+    at the last element plus 2: the last element plus 1 is the one candidate
+    whose v - 1 is present, since every larger candidate's v - 1 exceeds
+    every element, and after a pop the search resumes past the popped
+    element, which is no longer present.
+
+    A modulus above ``max_size`` is clamped to ``max_size + 1``, so both
+    buffers stay within 2 * max_size + 2 bytes whatever the moduli:
+    ``present`` holds high <= max_size + 1 bytes for the negative values
+    and one per value 0..max_size, and ``free`` one per slot x + low <=
+    2 * max_size + 1.
     """
     # every candidate is <= max_size, so a modulus above it is never one and
-    # only ever tests a negative index: clamping it changes no answer, and the
-    # buffer below holds at most 2 * max_size + 2 bytes whatever the moduli
+    # only ever tests a negative value: clamping it changes no answer
     low, high = sorted(min(m, max_size + 1) for m in (t, t if t2 is None else t2))
     # present[high + x] is 1 iff x is in the beta-set; the prefix reads every
-    # x < 0 as present and x = 0 as absent, so each closure test is one index
+    # x < 0 as present and x = 0 as absent
     present = bytearray(b"\x01" * high) + bytearray(max_size + 1)
-    to_low, to_prev = high - low, high - 1  # v - high is at index v
+    # below low both differences are negative; from low on, v - low >= 0 is
+    # not yet present
+    free = bytearray(b"\x01" * low) + bytearray(2 * max_size + 2 - low)
+    find = free.find
+    step = 2 if distinct else 1
     beta: list[int] = []
-    size = 0
-    v = 1  # the next candidate to follow beta[-1]
+    ends: list[int] = []  # ends[j]: the window end of the node with j elements
+    size = k = 0
     yield beta, size
+    v = 1  # the next candidate of the current node
+    end = min(low, max_size) + 1
     while True:
-        k = len(beta)
-        hi = min((beta[-1] if k else 0) + low, max_size - size + k)
-        while v <= hi and not (
-            present[v] and present[v + to_low] and not (distinct and present[v + to_prev])
-        ):
-            v += 1
-        if v <= hi:
+        v = find(1, v, end)
+        if v > 0:
             beta.append(v)
             present[v + high] = 1
+            free[v + low] = present[v + low]
             size += v - k
+            k += 1
             yield beta, size
+            ends.append(end)
+            # conditionals, not min(): this runs once per node
+            end = max_size - size + k
+            if v + low < end:
+                end = v + low
+            end += 1
+            v += step
         elif k:
             v = beta.pop()
+            k -= 1
             present[v + high] = 0
-            size -= v - k + 1
+            free[v + low] = 0
+            size -= v - k
+            v += 1
+            end = ends.pop()
         else:
             return
-        v += 1
 
 
 def anderson_count(t1: int, t2: int) -> int:

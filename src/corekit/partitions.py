@@ -15,10 +15,14 @@ keeps its own check.
 ``Partition(...)`` validates its parts. A partition whose parts are valid by
 construction is built through :func:`_trusted_partition` instead, which
 skips that check: the enumerators of :mod:`corekit.cores`,
-:func:`corekit.consecutive.maximizers`, and :func:`partition_of_beta` once
-:func:`check_beta` has validated its input. ``verify``'s
+:func:`corekit.consecutive.maximizers`, and the beta-set decode
+:func:`_decode_beta`. That decode runs in :func:`partition_of_beta` once
+:func:`check_beta` has validated its input, and in
+:func:`corekit.residues.core_of_vector`, which skips :func:`check_beta`
+because the beta-set it decodes is valid by construction. ``verify``'s
 ``kernel.beta_algebra`` compares every decoded partition with the
-enumerator's, so the decode stays checked.
+enumerator's, and ``eta.roundtrip`` every decoded t-core with the hook
+scan's, so the decode stays checked.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from math import comb
 from operator import add, sub
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 def _require_ints(values: Iterable[object], lo: int, what: str) -> None:
@@ -36,6 +40,12 @@ def _require_ints(values: Iterable[object], lo: int, what: str) -> None:
     for x in values:
         if type(x) is not int or x < lo:
             raise ValueError(f"{what}, got {x!r}")
+
+
+def _clip(text: str, show: Callable[[str], str] = repr) -> str:
+    """``show(text)``; past 20 characters, ``show`` of its first 20 and its
+    length. Messages quote arguments through it, so a long one stays short."""
+    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} characters)"
 
 
 @dataclass(frozen=True)
@@ -146,17 +156,24 @@ def check_beta(beta: Iterable[int]) -> frozenset[int]:
 
 
 def partition_of_beta(beta: Iterable[int]) -> Partition:
-    """Inverse of :func:`beta_set`.
+    """Inverse of :func:`beta_set`. The input is validated; the decode is
+    :func:`_decode_beta`'s."""
+    return _decode_beta(check_beta(beta))
+
+
+def _decode_beta(bs: Iterable[int]) -> Partition:
+    """The partition of a beta-set whose elements are distinct positive
+    ``int``s by construction, decoded without validating them.
 
     Sorting the k elements descending as x_1 > ... > x_k, part i is
-    x_i - (k - i). The input is validated; the output skips validation
+    x_i - (k - i). The output skips validation too
     (:func:`_trusted_partition`), since for distinct positive ``int``s
     x_i >= k - i + 1 makes every part positive and x_i > x_{i+1} keeps the
     parts weakly decreasing.
     """
-    bs = sorted(check_beta(beta), reverse=True)
-    k = len(bs)
-    return _trusted_partition(tuple(map(sub, bs, range(k - 1, -1, -1))))
+    xs = sorted(bs, reverse=True)
+    k = len(xs)
+    return _trusted_partition(tuple(map(sub, xs, range(k - 1, -1, -1))))
 
 
 def size_from_beta(beta: Iterable[int]) -> int:

@@ -22,10 +22,14 @@ independent check of the sizes the walk tracks.
 ``ResidueVector(...)`` validates its modulus and counts. The vectors read
 off a beta-set are valid by construction, t - 1 counts >= 0 under a modulus
 their callers have already checked, so :func:`_vector_of_beta` builds them
-through :func:`_trusted_vector`, which skips that check. ``verify``'s eta
-checks test them against the hook scan's t-cores: ``eta.roundtrip`` decodes
-each encoded core back to its partition, and ``eta.vector_roundtrip``
-decodes every walked vector and encodes the result again.
+through :func:`_trusted_vector`, which skips that check. Likewise
+:func:`core_of_vector` decodes the beta-set :func:`beta_of_vector` builds,
+distinct positive ``int``s by construction, without ``check_beta``, and
+:func:`residue_vector` tests the closure of a beta-set it has just built
+without re-checking the modulus. ``verify``'s eta checks test them against
+the hook scan's t-cores: ``eta.roundtrip`` decodes each encoded core back
+to its partition, and ``eta.vector_roundtrip`` decodes every walked vector
+and encodes the result again.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Iterable, Iterator
 
-from .cores import _walk_cores, abacus_is_t_core
-from .partitions import Partition, _require_ints, beta_set, partition_of_beta
+from .cores import _closed_under, _walk_cores
+from .partitions import Partition, _decode_beta, _require_ints, beta_set
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ def residue_vector(p: Partition, t: int) -> ResidueVector:
     """
     _require_ints((t,), 2, "modulus must be >= 2")
     bs = beta_set(p)
-    if not abacus_is_t_core(bs, t):
+    if not _closed_under(bs, t):
         raise ValueError(f"{p!r} has a hook of length {t}; not encodable mod {t}")
     return _vector_of_beta(bs, t)
 
@@ -105,8 +109,11 @@ def beta_of_vector(v: ResidueVector) -> frozenset[int]:
 
 
 def core_of_vector(v: ResidueVector) -> Partition:
-    """Decode a residue vector back to its t-core partition."""
-    return partition_of_beta(beta_of_vector(v))
+    """Decode a residue vector back to its t-core partition.
+
+    The beta-set :func:`beta_of_vector` builds holds distinct positive
+    ``int``s by construction, so it is decoded without ``check_beta``."""
+    return _decode_beta(beta_of_vector(v))
 
 
 def size_of_vector(v: ResidueVector) -> int:

@@ -265,6 +265,16 @@ class TestEnumerateCommand:
         err = capsys.readouterr().err
         assert "has more than 50 gap cells" in err and "Exceeds the limit" not in err
 
+    @pytest.mark.parametrize(
+        "t1, t2", [("9" * 3000, "2"), ("9" * 3000, "9" * 3000)], ids=["t1-long", "both-long"]
+    )
+    def test_long_moduli_are_not_echoed(self, capsys, t1, t2):
+        # the gap-set and the coprimality refusals clip each long modulus
+        expect_usage_error(["enumerate", "--t1", t1, "--t2", t2])
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300
+        assert "(3000 characters)" in err
+
     @pytest.mark.parametrize("distinct", [[], ["--distinct"]], ids=["all", "distinct"])
     def test_pair_with_one_answers_at_once(self, capsys, distinct):
         # every nonempty partition has a corner box of hook length 1, so the

@@ -15,6 +15,7 @@ from corekit import (
     beta_set,
     enumerate_partitions,
     enumerate_simultaneous_cores,
+    hook_length_set,
     is_core,
     olsson_stanton_max,
     partition_of_beta,
@@ -305,6 +306,31 @@ class TestWalkModuli:
             for t, t2 in [(max_size + 1, None), (max_size + 2, None), (10**21, 10**21 + 1)]:
                 walk = _walk_cores(t, max_size, distinct, t2)
                 assert Counter(size for _, size in walk) == expected, (max_size, t, t2)
+
+    # equal moduli, one modulus, modulus 1 on either side, moduli above some
+    # or all of the budgets, and pairs that are not coprime
+    @pytest.mark.parametrize(
+        "t, t2",
+        [(1, None), (1, 1), (1, 4), (4, 1), (2, None), (2, 2), (3, 3), (5, None), (5, 5),
+         (2, 3), (3, 5), (5, 3), (2, 7), (4, 6), (6, 9), (9, 15), (15, None), (15, 15),
+         (15, 16)],
+    )
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_walk_matches_hook_filter(self, t, t2, distinct):
+        forbidden = {t, t if t2 is None else t2}
+        for max_size in range(15):
+            expected = Counter(
+                p.parts
+                for n in range(max_size + 1)
+                for p in enumerate_partitions(n, distinct)
+                if forbidden.isdisjoint(hook_length_set(p))
+            )
+            walked = Counter()
+            for beta, size in _walk_cores(t, max_size, distinct, t2):
+                p = partition_of_beta(beta)
+                assert p.size == size, (beta, size)
+                walked[p.parts] += 1
+            assert walked == expected, (max_size, t, t2)
 
 
 class TestTrustedPath:

@@ -106,6 +106,15 @@ maximizer_parts_shifted = source_mutant(
 walk_clamps_at_budget = source_mutant(
     cores, "_walk_cores", "min(m, max_size + 1)", "min(m, max_size)"
 )
+# a pushed element x frees slot x + low without testing x + low - high, so
+# candidates escape the larger modulus's closure test
+walk_free_ignores_high = source_mutant(
+    cores, "_walk_cores", "free[v + low] = present[v + low]", "free[v + low] = 1"
+)
+# distinct mode no longer skips the last element plus 1
+walk_distinct_no_skip = source_mutant(
+    cores, "_walk_cores", "step = 2 if distinct else 1", "step = 1"
+)
 # each residue class recorded as present instead of counted
 residue_presence_not_count = source_mutant(
     residues, "_vector_of_beta", "counts[x % t - 1] += 1", "counts[x % t - 1] = 1"
@@ -114,10 +123,11 @@ residue_presence_not_count = source_mutant(
 residue_class_one_step_long = source_mutant(
     residues, "beta_of_vector", "range(i, i + n * t, t)", "range(i, i + n * t + 1, t)"
 )
-# every decoded part one smaller, as verify calls it; the output is trusted,
-# so no validation refuses the 0 part this writes
+# every decoded part one smaller, in the decode that partition_of_beta runs
+# after validating its input; the output is trusted, so no validation
+# refuses the 0 part this writes
 beta_decode_one_short = source_mutant(
-    partitions, "partition_of_beta", "range(k - 1, -1, -1)", "range(k, 0, -1)", into=verify
+    partitions, "_decode_beta", "range(k - 1, -1, -1)", "range(k, 0, -1)"
 )
 
 
@@ -159,6 +169,15 @@ CASES = {
     "ladder-seed": (ladder_seed_one, check("tt1.table", 8), "recurrence/definitional mismatch"),
     "fib-doubling": (doubling_parity_swapped, check("tt1.table", 8), "a != F_("),
     "walk-clamp": (walk_clamps_at_budget, check("kernel.pair_enumeration", 2), "enumerated 1"),
+    "walk-free-map": (
+        walk_free_ignores_high, check("kernel.pair_core_band", 4), "outside the band"
+    ),
+    "walk-distinct-skip-reach": (
+        walk_distinct_no_skip, check("kernel.distinct_pair_reach", 4), "beta element"
+    ),
+    "walk-distinct-skip-census": (
+        walk_distinct_no_skip, check("genfun.dfs_vs_oracle", 5, 20), "beta-set walk"
+    ),
     "residue-presence": (
         residue_presence_not_count, check("eta.roundtrip", 2, 3), "roundtrip broke"
     ),

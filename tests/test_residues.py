@@ -12,6 +12,7 @@ from corekit import (
     core_of_vector,
     is_core,
     iter_core_vectors,
+    partition_of_beta,
     residue_vector,
     separated_support,
     series,
@@ -156,6 +157,27 @@ class TestTrustedVectors:
         for v in walked:
             assert v == ResidueVector(v.modulus, v.counts), v
             assert type(v.counts) is tuple and all(type(n) is int for n in v.counts), v
+
+
+class TestTrustedDecode:
+    """core_of_vector decodes its beta-set without check_beta; the
+    validating decoder is the oracle."""
+
+    @pytest.mark.parametrize("t", range(2, 9))
+    def test_matches_validating_decoder(self, t):
+        vectors = list(iter_core_vectors(t, 20))
+        assert vectors
+        for v in vectors:
+            p = core_of_vector(v)
+            assert p == partition_of_beta(beta_of_vector(v)), v
+            assert type(p.parts) is tuple and all(type(part) is int for part in p.parts), v
+
+    def test_public_constructor_still_validates(self):
+        core_of_vector(ResidueVector(4, (1, 0, 2)))  # the trusted decode has run
+        bad = ((4, (1, -1, 0)), (4, (1, 0)), (1, ()), (3, (True, 0)), (3, (1.0, 0)))
+        for modulus, counts in bad:
+            with pytest.raises(ValueError):
+                ResidueVector(modulus, counts)
 
 
 def _walk_core_vectors(t, max_size, distinct):
