@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import astuple
 
 from . import consecutive, cores, series, verify
-from .partitions import Partition, _clip, beta_set
+from .partitions import Partition, _shown, beta_set
 
 T_MAX_CAP = 64
 N_MAX_CAP = 240
@@ -60,10 +60,10 @@ def _ranged_int(lo: int, hi: int | None = None):
             digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", text)
             if digits:
                 raise argparse.ArgumentTypeError(f"out of range: {len(digits[1])} digits")
-            raise argparse.ArgumentTypeError(f"not an integer: {_clip(text)}")
+            raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}")
         if value < lo or (hi is not None and value > hi):
             top = "" if hi is None else f" and <= {hi}"
-            raise argparse.ArgumentTypeError(f"must be >= {lo}{top}, got {_clip(str(value), str)}")
+            raise argparse.ArgumentTypeError(f"must be >= {lo}{top}, got {_shown(value)}")
         return value
 
     return parse
@@ -110,8 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify",
         help="run the cross-verification checks",
-        description="Run the cross-verification checks: 6-7 s at the defaults, under a minute "
-        "at the caps (41-45 s at --t-max 64 --n-max 240 on a 2-vCPU x86-64 Xeon host).",
+        description="Run the cross-verification checks: the defaults finish in seconds, the "
+        "caps (--t-max 64 --n-max 240) in under a minute.",
     )
     p_verify.add_argument("--suite", choices=(*verify.SUITE_NAMES, "all"), default="all")
     p_verify.add_argument("--t-max", type=_ranged_int(2, T_MAX_CAP), default=None)

@@ -108,10 +108,7 @@ def distinct_core_partitions(t: int) -> tuple[Partition, ...]:
     :func:`corekit.cores.enumerate_simultaneous_cores` with; sorted by
     (size, descending-lex parts).
     """
-    what = f"need 2 <= t <= {_POPULATION_CAP}"
-    _require_ints((t,), 2, what)
-    if t > _POPULATION_CAP:
-        raise ValueError(f"{what}, got {t}")
+    _require_ints((t,), 2, f"need 2 <= t <= {_POPULATION_CAP}", _POPULATION_CAP)
     partitions = [Partition(partition_of_beta(bs).parts) for bs in _walk_nice_subsets(t)]
     partitions.sort(key=size_lex_key)
     return tuple(partitions)
@@ -255,10 +252,7 @@ def sequence_table(t_max: int) -> SequenceTable:
     sparse subset and every convolution is empty. ``verify``'s tt1.table
     check recomputes the rows up to t = 25 definitionally.
     """
-    what = f"t_max must be in [2, {TABLE_CAP}]"
-    _require_ints((t_max,), 2, what)
-    if t_max > TABLE_CAP:
-        raise ValueError(f"{what}, got {t_max}")
+    _require_ints((t_max,), 2, f"t_max must be in [2, {TABLE_CAP}]", TABLE_CAP)
 
     fib = _fib_table(t_max + 1)
     b, c, d, phi, psi = ([0, 0] for _ in range(5))  # indexed by t, from t = 0

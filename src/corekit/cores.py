@@ -20,16 +20,12 @@ off the ascending beta-set and builds its Partitions through
 ``partitions._trusted_partition``, which skips validation, and ``verify``'s
 pair-core checks test the walk's beta-sets with no Partition at all.
 :func:`enumerate_partitions` builds through the same trusted path: its two
-walks write positive, weakly decreasing parts by construction. Two beta-set
-decodes build through it too: ``partitions.partition_of_beta`` once it has
-validated its input beta-set, and ``residues.core_of_vector``, whose
-beta-set ``residues.beta_of_vector`` builds from distinct positive ``int``s,
-so it skips ``check_beta`` as well. The public ``Partition(...)`` keeps
-validating. In every cross-check at most one side decodes a beta-set on
-the trusted path: the other side of ``tt1.count_fibonacci``'s enumerator
-comparison, ``consecutive.distinct_core_partitions``, validates each
-partition it decodes through ``Partition(...)``, and the other side of
-``eta.roundtrip`` is the hook scan's t-cores, which decode nothing.
+walks write positive, weakly decreasing parts by construction.
+:mod:`corekit.partitions` lists every trusted build; the public
+``Partition(...)`` keeps validating. The other side of
+``tt1.count_fibonacci``'s enumerator comparison,
+``consecutive.distinct_core_partitions``, validates each partition it
+decodes through ``Partition(...)``.
 
 Independence rule: :func:`enumerate_partitions` shares no code with
 :func:`_walk_cores` or with any beta-set function. It lists partitions by
@@ -43,7 +39,7 @@ from math import comb, gcd
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .partitions import Partition, _clip, _column_heights, _require_ints, _trusted_partition
+from .partitions import Partition, _column_heights, _require_ints, _shown, _trusted_partition
 
 PARTITION_ENUM_CAP = 120
 GAP_CELL_CAP = 50
@@ -87,9 +83,7 @@ def enumerate_partitions(n: int, distinct_only: bool = False) -> Iterator[Partit
     algorithms for generating integer partitions", 1998), amortized O(1)
     steps each; distinct parts from a walk over an explicit stack of parts.
     """
-    _require_ints((n,), 0, "cannot partition a negative integer")
-    if n > PARTITION_ENUM_CAP:
-        raise ValueError(f"partition enumeration capped at n = {PARTITION_ENUM_CAP}, got {n}")
+    _require_ints((n,), 0, f"n must be in [0, {PARTITION_ENUM_CAP}]", PARTITION_ENUM_CAP)
     trusted = _trusted_partition  # a local name: no global lookup per partition
     if n == 0:
         yield trusted(())
@@ -150,12 +144,7 @@ def enumerate_partitions(n: int, distinct_only: bool = False) -> Iterator[Partit
 def _check_coprime_pair(t1: int, t2: int) -> None:
     _require_ints((t1, t2), 1, "need positive integers")
     if t1 == t2 or gcd(t1, t2) != 1:
-        raise ValueError(f"{_pair_text(t1, t2)} is not a coprime pair")
-
-
-def _pair_text(t1: int, t2: int) -> str:
-    """The pair for a message, each modulus past 20 digits clipped."""
-    return f"({_clip(str(t1), str)}, {_clip(str(t2), str)})"
+        raise ValueError(f"({_shown(t1)}, {_shown(t2)}) is not a coprime pair")
 
 
 def enumerate_simultaneous_cores(
@@ -180,9 +169,8 @@ def enumerate_simultaneous_cores(
     _check_coprime_pair(t1, t2)
     if (t1 - 1) * (t2 - 1) // 2 > max_gaps:
         # a count past the cap is not printed: it can be too long for str()
-        raise ValueError(
-            f"gap set for {_pair_text(t1, t2)} has more than {max_gaps} gap cells"
-        )
+        pair = f"({_shown(t1)}, {_shown(t2)})"
+        raise ValueError(f"gap set for {pair} has more than {_shown(max_gaps)} gap cells")
     # beta ascending as b_0 < ... < b_{k-1}: part j is b_j - j, smallest first
     found = [
         (tuple([b - j for j, b in enumerate(beta)][::-1]), size)
@@ -282,7 +270,8 @@ def anderson_count(t1: int, t2: int) -> int:
     _check_coprime_pair(t1, t2)
     q, r = divmod(comb(t1 + t2, t1), t1 + t2)
     if r:
-        raise ArithmeticError(f"C({t1 + t2}, {t1}) left remainder {r} mod {t1 + t2}")
+        n = _shown(t1 + t2)
+        raise ArithmeticError(f"C({n}, {_shown(t1)}) left remainder {_shown(r)} mod {n}")
     return q
 
 
@@ -291,5 +280,5 @@ def olsson_stanton_max(t1: int, t2: int) -> int:
     _check_coprime_pair(t1, t2)
     q, r = divmod((t1 * t1 - 1) * (t2 * t2 - 1), 24)
     if r:
-        raise ArithmeticError(f"({t1}^2 - 1)({t2}^2 - 1) left remainder {r} mod 24")
+        raise ArithmeticError(f"({_shown(t1)}^2 - 1)({_shown(t2)}^2 - 1) left remainder {r} mod 24")
     return q

@@ -4,13 +4,17 @@ Everything here is a pure function of immutable values and all arithmetic
 is exact. The empty partition is a first-class citizen: no parts, size 0,
 empty beta-set, and distinct parts vacuously.
 
-Every integer argument in corekit states its rule through
+Every integer argument in corekit states its range through
 :func:`_require_ints`: each value must be an exact ``int`` at or above a
-floor, so ``bool`` (an ``int`` subclass) and floats are refused. That holds
-for collections (parts, beta-sets, forbidden hook lengths, residue counts,
-series coefficients) and for single arguments (moduli, indices, size
-bounds, verify's bounds), which pass the value as a one-tuple; an upper cap
-keeps its own check.
+floor, and at or below a cap where the argument has one, so ``bool`` (an
+``int`` subclass) and floats are refused. That holds for collections
+(parts, beta-sets, forbidden hook lengths, residue counts, series
+coefficients), which have floors only, and for single arguments (moduli,
+indices, size bounds, verify's bounds), which pass the value as a
+one-tuple, one call per argument, with a message that states the whole
+range. Every refusal that quotes a caller's value quotes it through
+:func:`_shown`, which keeps the quote short and never raises, so a value
+of any size is refused by its rule.
 
 ``Partition(...)`` validates its parts. A partition whose parts are valid by
 construction is built through :func:`_trusted_partition` instead, which
@@ -31,21 +35,41 @@ from dataclasses import dataclass
 from itertools import pairwise
 from math import comb
 from operator import add, sub
-from typing import Callable, Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 
-def _require_ints(values: Iterable[object], lo: int, what: str) -> None:
-    """Raise ``ValueError(f"{what}, got {x!r}")`` for the first value that is
-    not an exact ``int`` >= ``lo``."""
+def _require_ints(values: Collection[object], lo: int, what: str, hi: int | None = None) -> None:
+    """Raise ``ValueError(f"{what}, got {_shown(x)}")`` for the first value
+    ``x`` that is not an exact ``int`` >= ``lo``, then, when a cap ``hi`` is
+    given, for the largest value if it is above the cap. Only single
+    arguments have caps, so ``values`` is then not empty. Uncapped calls,
+    the validation of parts and beta-sets among them, run the floor loop
+    alone."""
     for x in values:
         if type(x) is not int or x < lo:
-            raise ValueError(f"{what}, got {x!r}")
+            raise ValueError(f"{what}, got {_shown(x)}")
+    if hi is not None and max(values) > hi:
+        raise ValueError(f"{what}, got {_shown(max(values))}")
 
 
-def _clip(text: str, show: Callable[[str], str] = repr) -> str:
-    """``show(text)``; past 20 characters, ``show`` of its first 20 and its
-    length. Messages quote arguments through it, so a long one stays short."""
-    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} characters)"
+def _shown(x: object) -> str:
+    """``repr(x)`` for a message; past 20 characters, its first 20 and its
+    length, counted for a ``str`` in the string's own characters.
+
+    It never raises. A value whose ``repr`` fails, as an int's does past
+    the interpreter's 4300-digit conversion limit, and so does that of any
+    value holding one, is described instead: an int by its sign and bit
+    length, anything else by its type.
+    """
+    if type(x) is str:
+        return repr(x) if len(x) <= 20 else f"{x[:20]!r}... ({len(x)} characters)"
+    try:
+        text = repr(x)
+    except Exception:  # any repr may raise; the refusal quoting it must not
+        if isinstance(x, int):
+            return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+        return f"<{type(x).__name__} that cannot be printed>"
+    return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
 
 
 @dataclass(frozen=True)
@@ -65,7 +89,9 @@ class Partition:
         _require_ints(self.parts, 1, "parts must be positive integers")
         for a, b in pairwise(self.parts):
             if a < b:
-                raise ValueError(f"parts must be weakly decreasing, got {a} before {b}")
+                raise ValueError(
+                    f"parts must be weakly decreasing, got {_shown(a)} before {_shown(b)}"
+                )
 
     @property
     def size(self) -> int:

@@ -22,14 +22,14 @@ independent check of the sizes the walk tracks.
 ``ResidueVector(...)`` validates its modulus and counts. The vectors read
 off a beta-set are valid by construction, t - 1 counts >= 0 under a modulus
 their callers have already checked, so :func:`_vector_of_beta` builds them
-through :func:`_trusted_vector`, which skips that check. Likewise
-:func:`core_of_vector` decodes the beta-set :func:`beta_of_vector` builds,
-distinct positive ``int``s by construction, without ``check_beta``, and
+through :func:`_trusted_vector`, which skips that check, and
 :func:`residue_vector` tests the closure of a beta-set it has just built
-without re-checking the modulus. ``verify``'s eta checks test them against
-the hook scan's t-cores: ``eta.roundtrip`` decodes each encoded core back
-to its partition, and ``eta.vector_roundtrip`` decodes every walked vector
-and encodes the result again.
+without re-checking the modulus. The decode of :func:`core_of_vector` is
+trusted too; :mod:`corekit.partitions` lists it with the other trusted
+Partition builds. ``verify``'s eta checks test them against the hook
+scan's t-cores: ``eta.roundtrip`` decodes each encoded core back to its
+partition, and ``eta.vector_roundtrip`` decodes every walked vector and
+encodes the result again.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from itertools import pairwise
 from typing import Iterable, Iterator
 
 from .cores import _closed_under, _walk_cores
-from .partitions import Partition, _decode_beta, _require_ints, beta_set
+from .partitions import Partition, _decode_beta, _require_ints, _shown, beta_set
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ class ResidueVector:
         _require_ints((self.modulus,), 2, "modulus must be >= 2")
         if len(self.counts) != self.modulus - 1:
             raise ValueError(
-                f"need exactly {self.modulus - 1} counts for modulus "
-                f"{self.modulus}, got {len(self.counts)}"
+                f"need exactly {_shown(self.modulus - 1)} counts for modulus "
+                f"{_shown(self.modulus)}, got {len(self.counts)}"
             )
         _require_ints(self.counts, 0, "counts must be nonnegative integers")
 
@@ -85,7 +85,8 @@ def residue_vector(p: Partition, t: int) -> ResidueVector:
     _require_ints((t,), 2, "modulus must be >= 2")
     bs = beta_set(p)
     if not _closed_under(bs, t):
-        raise ValueError(f"{p!r} has a hook of length {t}; not encodable mod {t}")
+        hook = _shown(t)
+        raise ValueError(f"{_shown(p)} has a hook of length {hook}; not encodable mod {hook}")
     return _vector_of_beta(bs, t)
 
 

@@ -21,8 +21,11 @@ Three routes are kept side by side on purpose:
   that exist for t = 2, 3, 4,
 * :func:`distinct_core_series_brute` filters raw partitions by hook lengths.
 
-Agreement of all three, and of both eq2 routes, is one of the acceptance
-gates.
+``verify`` compares both eq2 routes with its own hook scan
+(``genfun.dfs_vs_oracle``) and with the closed forms
+(``genfun.dfs_vs_closed``), the checks of acceptance criterion 3. The brute
+route is compared with them only by the tests (``tests/test_series.py``,
+``tests/test_cli.py``) and by perfbench's series gate.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from math import ceil, comb, inf, isqrt, log, pi, sqrt
 from typing import Iterator
 
 from .cores import _walk_cores, enumerate_partitions, is_core
-from .partitions import _require_ints
+from .partitions import _require_ints, _shown
 from .residues import ResidueVector, _vector_of_beta
 
 SERIES_LIMIT_CAP = 1_000_000
@@ -102,9 +105,7 @@ def _trusted_series(coeffs: tuple[int, ...], t: int) -> CoefficientSeries:
 
 def _check_args(t: int, limit: int) -> None:
     _require_ints((t,), 2, "need t >= 2")
-    _require_ints((limit,), 0, "limit must be >= 0")
-    if limit > SERIES_LIMIT_CAP:
-        raise ValueError(f"dense series capped at limit {SERIES_LIMIT_CAP}")
+    _require_ints((limit,), 0, f"limit must be in [0, {SERIES_LIMIT_CAP}]", SERIES_LIMIT_CAP)
 
 
 def iter_distinct_core_vectors(t: int, limit: int) -> Iterator[ResidueVector]:
@@ -139,8 +140,8 @@ def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
         else:  # the float's shortest repr: never rounds down to the budget
             cost = f"estimated at {costs[route]!r} s, over the {SERIES_BUDGET_S:g} s budget"
         raise ValueError(
-            f"eq2 at t={t}, limit={limit} is {cost}; the largest limit admitted at t={t} "
-            f"is {_largest_admitted(t)}"
+            f"eq2 at t={_shown(t)}, limit={_shown(limit)} is {cost}; the largest limit "
+            f"admitted at t={_shown(t)} is {_largest_admitted(t)}"
         )
     return _BOUNDED_ROUTES[route](t, limit, bounds)
 
@@ -230,9 +231,8 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
 def _dp(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
     k_max, top, caps, _, width, state_bytes = bounds
     if state_bytes > DP_STATE_BYTES_CAP:
-        raise ValueError(
-            f"residue DP state for t={t}, limit={limit} exceeds {DP_STATE_BYTES_CAP} bytes"
-        )
+        request = f"t={_shown(t)}, limit={_shown(limit)}"
+        raise ValueError(f"residue DP state for {request} exceeds {DP_STATE_BYTES_CAP} bytes")
     row = k_max + 1
     bits = 8 * width
     mask = (1 << (top + 1) * row * bits) - 1
@@ -331,8 +331,7 @@ def distinct_core_series_closed(t: int, limit: int) -> CoefficientSeries:
          (n(3n-1) + 3m(m+1) - 2mn)/2.
     """
     _check_args(t, limit)
-    if t not in (2, 3, 4):
-        raise ValueError(f"closed form only exists for t in {{2, 3, 4}}, got {t}")
+    _require_ints((t,), 2, "closed form only exists for t in {2, 3, 4}", 4)
     coeffs = [0] * (limit + 1)
 
     def add_all(exponents: Iterator[int]) -> None:
@@ -361,9 +360,8 @@ def distinct_core_series_closed(t: int, limit: int) -> CoefficientSeries:
 
 def distinct_core_series_brute(t: int, limit: int) -> CoefficientSeries:
     """Ground truth by direct filtering of partitions, hook length by hook length."""
-    _check_args(t, limit)
-    if limit > BRUTE_FORCE_CAP:
-        raise ValueError(f"brute-force series capped at limit {BRUTE_FORCE_CAP}, got {limit}")
+    _require_ints((t,), 2, "need t >= 2")
+    _require_ints((limit,), 0, f"limit must be in [0, {BRUTE_FORCE_CAP}]", BRUTE_FORCE_CAP)
     forbidden = frozenset({t})
     coeffs = tuple(
         sum(1 for p in enumerate_partitions(n, distinct_only=True) if is_core(p, forbidden))

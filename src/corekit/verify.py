@@ -23,6 +23,7 @@ from . import consecutive, cores, residues, series
 from .partitions import (
     Partition,
     _require_ints,
+    _shown,
     beta_distinct_criterion,
     beta_set,
     hook_length_set,
@@ -451,7 +452,7 @@ def checks_for(suite: str) -> dict[str, Check]:
     if suite == "all":
         return dict(CHECKS)
     if suite not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {suite!r}; pick one of {(*SUITE_NAMES, 'all')}")
+        raise ValueError(f"unknown suite {_shown(suite)}; pick one of {(*SUITE_NAMES, 'all')}")
     return {name: check for name, check in CHECKS.items() if name.startswith(f"{suite}.")}
 
 

@@ -220,6 +220,83 @@ def test_no_assert_statements_in_the_package():
         assert not lines, f"{path.name}: assert at lines {lines}"
 
 
+def unquoted_fields(tree: ast.AST) -> list[str]:
+    """``function:line`` of each f-string field inside a ``raise`` that
+    quotes a value without ``partitions._shown``: a ``!r``, ``!s`` or ``!a``
+    conversion, a ``str(...)`` or ``repr(...)`` call, or a bare parameter of
+    the innermost enclosing function (``_require_ints``'s ``what``, a rule
+    and not a value, is exempt)."""
+    found: list[str] = []
+
+    def quotes_raw(field: ast.FormattedValue, params: set[str]) -> bool:
+        value = field.value
+        if field.conversion != -1:
+            return True
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "_shown":
+            return False
+        if isinstance(value, ast.Name) and value.id in params:
+            return True
+        return any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("str", "repr")
+            for node in ast.walk(value)
+        )
+
+    def scan(node: ast.AST, name: str, params: set[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                every = (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                own = {a.arg for a in every if a is not None}
+                scan(child, child.name, own - {"what"} if child.name == "_require_ints" else own)
+            elif isinstance(child, ast.Raise):
+                for fstring in ast.walk(child):
+                    if isinstance(fstring, ast.JoinedStr):
+                        found.extend(
+                            f"{name}:{field.lineno}"
+                            for field in fstring.values
+                            if isinstance(field, ast.FormattedValue) and quotes_raw(field, params)
+                        )
+            else:
+                scan(child, name, params)
+
+    scan(tree, "<module>", set())
+    return found
+
+
+# _require_ints as it stood before _shown, quoting the refused value with !r
+OLD_REQUIRE_INTS = """
+def _require_ints(values, lo, what):
+    for x in values:
+        if type(x) is not int or x < lo:
+            raise ValueError(f"{what}, got {x!r}")
+"""
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        (OLD_REQUIRE_INTS, ["_require_ints:5"]),
+        ("def f(t):\n    raise ValueError(f'got {str(t)}')", ["f:2"]),
+        ("def f(t):\n    raise ValueError(f'got {t}')", ["f:2"]),
+        ("def f(t):\n    raise ValueError(f'got {_shown(t)} and {t + 1}')", []),
+        ("def _require_ints(values, lo, what):\n    raise ValueError(f'{what}')", []),
+    ],
+    ids=["old-require-ints", "str-call", "bare-parameter", "shown", "what-exempt"],
+)
+def test_unquoted_fields_flags_raw_quotes(source, flagged):
+    assert unquoted_fields(ast.parse(source)) == flagged
+
+
+def test_refusals_quote_values_through_shown():
+    """A tripwire, not the proof: it misses values read off attributes, such
+    as ``self.modulus``, and messages built outside the ``raise`` statement.
+    The tables of ``test_integer_arguments.py``, which call each refusal
+    with a value too long to print, are the real test."""
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        found = unquoted_fields(ast.parse(path.read_text()))
+        assert not found, f"{path.name}: unquoted values at {found}"
+
+
 def test_table_reports_an_odd_ladder_row(monkeypatch):
     # seeding b_1 = 1 makes c_2 - b_2 odd; the ladder raises on it and
     # check_table, which has no parity test of its own, reports the error
