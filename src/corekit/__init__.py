@@ -40,7 +40,6 @@ from .partitions import (
     partition_of_beta,
     size_from_beta,
 )
-from .report import CheckReport
 from .residues import (
     ResidueVector,
     beta_of_vector,
@@ -58,7 +57,7 @@ from .series import (
     distinct_core_series_closed,
     iter_distinct_core_vectors,
 )
-from .verify import run_suite
+from .verify import CheckReport, run_suite
 
 __version__ = "0.1.0"
 

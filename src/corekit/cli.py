@@ -28,7 +28,8 @@ from .partitions import Partition, _shown, beta_set
 T_MAX_CAP = 64
 N_MAX_CAP = 240
 # series: --t bounds the cost of estimating an eq2 request, which the library
-# refuses over its budget, and of finding the largest limit it admits.
+# refuses over its budget. Finding the largest limit it admits costs no more
+# at a larger t: that search is bounded by its answer.
 SERIES_T_CAP = 10_000
 SERIES_METHODS = {
     "eq2": series.distinct_core_series,

@@ -222,9 +222,14 @@ class SequenceRow:
 
 @dataclass(frozen=True)
 class SequenceTable:
+    """The rows t = 2..t_max of :func:`sequence_table`, in order."""
+
     rows: tuple[SequenceRow, ...]
 
     def row(self, t: int) -> SequenceRow:
+        """The row at t, for t in [2, t_max]."""
+        last = len(self.rows) + 1
+        _require_ints((t,), 2, f"t must be in [2, {last}]", last)
         return self.rows[t - 2]
 
 

@@ -147,30 +147,27 @@ def _check_coprime_pair(t1: int, t2: int) -> None:
         raise ValueError(f"({_shown(t1)}, {_shown(t2)}) is not a coprime pair")
 
 
-def enumerate_simultaneous_cores(
-    t1: int,
-    t2: int,
-    distinct_only: bool = False,
-    *,
-    max_gaps: int = GAP_CELL_CAP,
-) -> list[Partition]:
+def enumerate_simultaneous_cores(t1: int, t2: int, distinct_only: bool = False) -> list[Partition]:
     """The complete list of partitions avoiding hook lengths t1 and t2.
 
     A beta-set avoids both hooks exactly when it is closed under subtracting
     t1 and t2, which keeps it inside the (t1 - 1)(t2 - 1)/2 gaps of the
-    semigroup <t1, t2>; a pair with more than ``max_gaps`` gaps is refused
-    before any work. :func:`_walk_cores` visits one node per core and finds
-    each next element with one search over its free-slot map, so the cost
-    grows with the number of cores, not gaps times cores. Its size budget,
+    semigroup <t1, t2>; a pair with more than :data:`GAP_CELL_CAP` gaps is
+    refused before any work. To go past the cap, run :func:`_walk_cores`
+    directly, as ``verify``'s pair checks do:
+    ``_walk_cores(t1, olsson_stanton_max(t1, t2), distinct_only, t2)``.
+    The walk visits one node per core and finds each next element with one
+    search over its free-slot map, so the cost grows with the number of
+    cores, not gaps times cores. Its size budget,
     :func:`olsson_stanton_max`, cuts no (t1, t2)-core.
 
     Sorted by (size, descending-lex parts).
     """
     _check_coprime_pair(t1, t2)
-    if (t1 - 1) * (t2 - 1) // 2 > max_gaps:
+    if (t1 - 1) * (t2 - 1) // 2 > GAP_CELL_CAP:
         # a count past the cap is not printed: it can be too long for str()
         pair = f"({_shown(t1)}, {_shown(t2)})"
-        raise ValueError(f"gap set for {pair} has more than {_shown(max_gaps)} gap cells")
+        raise ValueError(f"gap set for {pair} has more than {GAP_CELL_CAP} gap cells")
     # beta ascending as b_0 < ... < b_{k-1}: part j is b_j - j, smallest first
     found = [
         (tuple([b - j for j, b in enumerate(beta)][::-1]), size)

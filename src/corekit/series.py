@@ -70,14 +70,14 @@ _Bounds = tuple[int, int, list[int], int, int, int]
 class CoefficientSeries:
     """Exact coefficients c_0..c_limit of a truncated power series.
 
-    ``t`` tags which hook length the counted partitions avoid; it is None
-    for generic series.
+    ``t``, an ``int`` >= 2, is the hook length the counted partitions avoid.
     """
 
     coeffs: tuple[int, ...]
-    t: int | None = None
+    t: int
 
     def __post_init__(self) -> None:
+        _require_ints((self.t,), 2, "need t >= 2")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
@@ -93,7 +93,8 @@ class CoefficientSeries:
 
 def _trusted_series(coeffs: tuple[int, ...], t: int) -> CoefficientSeries:
     """A CoefficientSeries built without validation, for the eq2 routes,
-    whose nonempty tuple of counts is exact ``int``s >= 0 by construction.
+    whose t is already checked and whose nonempty tuple of counts is exact
+    ``int``s >= 0 by construction.
     Everything else goes through ``CoefficientSeries(...)``, which
     validates; the closed and brute routes, the oracle sides of ``verify``'s
     eq2 comparisons, keep doing so."""
@@ -147,10 +148,20 @@ def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
 
 
 def _largest_admitted(t: int) -> int:
-    """The largest limit :func:`distinct_core_series` admits at t, by
-    bisection: the estimates grow with the limit."""
-    over = lambda limit: min(eq2_costs(t, limit).values()) > SERIES_BUDGET_S
-    return bisect_left(range(SERIES_LIMIT_CAP + 1), True, key=over) - 1
+    """The largest limit :func:`distinct_core_series` admits at a checked t.
+
+    The estimates grow with the limit, so the probed limit doubles from 1
+    until its estimate is over :data:`SERIES_BUDGET_S` (or it reaches
+    :data:`SERIES_LIMIT_CAP`), and that last doubling is bisected. A probe
+    derives min(t - 1, limit) positions, so the search is bounded by its
+    answer, not by t or the cap.
+    """
+    over = lambda limit: min(_costs(_residue_bounds(t, limit)).values()) > SERIES_BUDGET_S
+    admitted, probe = 0, 1  # limit 0 has no positions: always admitted
+    while probe < SERIES_LIMIT_CAP and not over(probe):
+        admitted, probe = probe, min(2 * probe, SERIES_LIMIT_CAP)
+    # the first refused limit in (admitted, probe], or none past the cap
+    return admitted + bisect_left(range(admitted + 1, probe + 1), True, key=over)
 
 
 def distinct_core_series_walk(t: int, limit: int) -> CoefficientSeries:

@@ -235,9 +235,14 @@ class TestSimultaneousCores:
         with pytest.raises(ValueError):
             enumerate_simultaneous_cores(12, 13)
 
-    def test_gap_cap_override(self):
-        found = enumerate_simultaneous_cores(12, 13, distinct_only=True, max_gaps=66)
-        assert len(found) == 233  # F_13
+    def test_gap_cap_has_no_override(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'max_gaps'"):
+            enumerate_simultaneous_cores(2, 3, max_gaps=1.5)
+
+    def test_walk_reaches_past_the_gap_cap(self):
+        # (12, 13) has 66 gap cells; the walk the enumerator runs has no cap
+        walked = _walk_cores(12, olsson_stanton_max(12, 13), True, 13)
+        assert sum(1 for _ in walked) == 233  # F_13
 
     @pytest.mark.parametrize("pair", [(3, 2), (5, 3), (7, 4), (9, 2), (7, 5)])
     @pytest.mark.parametrize("distinct", [False, True])
@@ -280,8 +285,7 @@ class TestSimultaneousCores:
         found = []
         for s in range(2, 9):
             t = second(s)
-            cells = (s - 1) * (t - 1) // 2
-            found.append(len(enumerate_simultaneous_cores(s, t, True, max_gaps=cells)))
+            found.append(sum(1 for _ in _walk_cores(s, olsson_stanton_max(s, t), True, t)))
         assert found == counts
 
 

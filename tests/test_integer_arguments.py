@@ -40,6 +40,7 @@ RULES = [
     ("total_size", consecutive.total_size, 2, None, "need t >= 2"),
     ("average_size", consecutive.average_size, 2, None, "need t >= 2"),
     ("sequence_table", consecutive.sequence_table, 2, 90, "t_max must be in [2, 90]"),
+    ("SequenceTable.row", consecutive.sequence_table(10).row, 2, 10, "t must be in [2, 10]"),
     ("residue_vector.t", lambda x: residues.residue_vector(EMPTY, x), 2, None,
      "modulus must be >= 2"),
     ("iter_core_vectors.t", lambda x: list(residues.iter_core_vectors(x, 3)), 2, None,
@@ -59,6 +60,8 @@ RULES = [
     ("olsson_stanton_max.t2", lambda x: cores.olsson_stanton_max(2, x), 1, None,
      "need positive integers"),
     ("distinct_core_series.t", lambda x: series.distinct_core_series(x, 5), 2, None,
+     "need t >= 2"),
+    ("CoefficientSeries.t", lambda x: series.CoefficientSeries((1,), x), 2, None,
      "need t >= 2"),
     ("distinct_core_series.limit", lambda x: series.distinct_core_series(3, x), 0, 10**6,
      "limit must be in [0, 1000000]"),
@@ -93,9 +96,9 @@ def refusal(call, bad):
     "call,floor,what", [(r[1], r[2], r[4]) for r in RULES], ids=[r[0] for r in RULES]
 )
 def test_integer_argument_is_refused(call, floor, what):
-    # a bool, a fraction, the floor as a float, the int just below the floor,
-    # and one too long to convert to a string
-    for bad in (True, floor + 0.5, float(floor), floor - 1, -HUGE):
+    # a bool, a fraction, the floor as a float, a string, the int just below
+    # the floor, and one too long to convert to a string
+    for bad in (True, floor + 0.5, float(floor), "x", floor - 1, -HUGE):
         assert refusal(call, bad) == f"{what}, got {_shown(bad)}"
 
 

@@ -1,4 +1,5 @@
 import re
+import time
 from math import inf
 
 import pytest
@@ -34,28 +35,32 @@ def distinct_count_oracle(n, max_part=None):
 
 class TestSeriesType:
     def test_limit(self):
-        assert CoefficientSeries((1, 0, 2)).limit == 2
+        assert CoefficientSeries((1, 0, 2), t=3).limit == 2
+
+    def test_requires_t(self):
+        with pytest.raises(TypeError, match="missing 1 required positional argument: 't'"):
+            CoefficientSeries((1,))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            CoefficientSeries(())
+            CoefficientSeries((), t=3)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            CoefficientSeries((1, -1))
+            CoefficientSeries((1, -1), t=3)
 
     def test_rejects_bool_coefficients(self):
         for bad in (True, 1.0, -1):
             message = f"coefficients must be counts, got {bad!r}"
             with pytest.raises(ValueError, match=re.escape(message)):
-                CoefficientSeries((bad,))
+                CoefficientSeries((bad,), t=3)
 
     def test_rejects_float_coefficients(self):
         # with the three tests above, what the eq2 routes' _trusted_series skips
         for bad in (1.0, True, -1):
             message = f"coefficients must be counts, got {bad!r}"
             with pytest.raises(ValueError, match=re.escape(message)):
-                CoefficientSeries((1, bad))
+                CoefficientSeries((1, bad), t=3)
 
     def test_json_dict(self):
         s = CoefficientSeries((1, 1, 1, 0, 1), t=3)
@@ -182,6 +187,14 @@ class TestEq2Routes:
         with pytest.raises(ValueError, match=f"admitted at t={t} is {lo}$"):
             distinct_core_series(t, lo + 1)
 
+    def test_refusal_at_a_huge_t_is_quick(self):
+        # the admitted-limit search doubles from 1, so each of its probes
+        # derives at most about twice its answer's positions, not t - 1
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="admitted at t=100001 is 927$"):
+            distinct_core_series(10**5 + 1, 5000)
+        assert time.perf_counter() - started < 0.5
+
 
 class TestClosedForms:
     def test_mod_2(self):
@@ -229,12 +242,12 @@ class TestCompare:
         assert compare_series(s, s) is None
 
     def test_first_divergence(self):
-        detail = compare_series(CoefficientSeries((1, 1, 5)), CoefficientSeries((1, 2, 6)))
+        detail = compare_series(CoefficientSeries((1, 1, 5), 2), CoefficientSeries((1, 2, 6), 2))
         assert detail == "first divergence at n=1: 1 vs 2"
 
     def test_limit_mismatch(self):
         with pytest.raises(ValueError):
-            compare_series(CoefficientSeries((1,)), CoefficientSeries((1, 1)))
+            compare_series(CoefficientSeries((1,), 2), CoefficientSeries((1, 1), 2))
 
 
 class TestCoefficientInvariants:

@@ -86,11 +86,19 @@ def test_unknown_suite_is_refused():
 
 
 def test_report_passes_iff_it_has_no_counterexample():
-    passed = CheckReport("kernel.ok", {"n_max": 3})
-    failed = CheckReport("kernel.bad", {"n_max": 3}, detail="witness")
+    passed = CheckReport("kernel.ok", {"n_max": 3}, None, 1.0)
+    failed = CheckReport("kernel.bad", {"n_max": 3}, "witness", 1.0)
     assert passed.passed and passed.status == "pass"
     assert not failed.passed and failed.status == "fail"
     assert failed.to_json_dict()["status"] == "fail"
+
+
+def test_report_is_defined_by_the_runner():
+    # every field is required: each report comes from run_check
+    assert CheckReport is verify.CheckReport
+    assert not (Path(verify.__file__).parent / "report.py").exists()
+    with pytest.raises(TypeError):
+        CheckReport("kernel.ok", {"n_max": 3})
 
 
 @pytest.mark.parametrize("name", sorted(WINDOWS))
