@@ -30,6 +30,7 @@ route is compared with them only by the tests (``tests/test_series.py``,
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count
@@ -234,6 +235,13 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
     vector has K elements, none consecutive, so A >= 1 + 3 + ... + (2K - 1)
     = K^2. As top < (k_max + 1)^2, every term with A <= top has K <= k_max
     and its own slot, and every other term, or carry, lands past the cut.
+
+    Size A - C(K, 2) puts column K, from row C(K, 2) on, at sizes
+    0..limit. The readout views the final state as one slot a row and takes
+    each column with one strided slice, sums the columns as packed ints,
+    and decodes all limit + 1 sums with one little-endian ``struct.unpack``
+    of 8-byte lanes, filled with ``width`` strided byte copies. Slots wider
+    than 8 bytes are decoded one ``int.from_bytes`` each.
     """
     _check_args(t, limit)
     return _dp(t, limit, _residue_bounds(t, limit))
@@ -254,18 +262,19 @@ def _dp(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
             grown += zero << ((i * n + t * comb(n, 2)) * row + n) * bits
         zero, nonzero = zero + nonzero, grown & mask
     # size = A - C(K, 2): column K, read from row C(K, 2) on, adds to sizes 0..limit
-    raw = (zero + nonzero).to_bytes(state_bytes, "little")
-    stride = row * width
+    slots = (zero + nonzero).to_bytes(state_bytes, "little")
+    grid = memoryview(slots).cast("B", [(top + 1) * row, width])  # one slot a row
+    starts = (comb(k, 2) * row + k for k in range(row))
+    packed = sum(int.from_bytes(grid[s : s + (limit + 1) * row : row], "little") for s in starts)
     span = (limit + 1) * width
-    column = bytearray(span)
-    packed = 0
-    for k in range(row):
-        start = (comb(k, 2) * row + k) * width
-        for b in range(width):  # byte b of every slot in the column
-            column[b::width] = raw[start + b : start + b + (limit + 1) * stride : stride]
-        packed += int.from_bytes(column, "little")
     raw = packed.to_bytes(span, "little")
-    coeffs = tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, span, width))
+    if width > 8:
+        coeffs = tuple(int.from_bytes(raw[j : j + width], "little") for j in range(0, span, width))
+    else:  # each coefficient widened to a little-endian 8-byte lane, all decoded at once
+        lanes = bytearray(8 * (limit + 1))
+        for b in range(width):
+            lanes[b::8] = raw[b::width]
+        coeffs = struct.unpack(f"<{limit + 1}Q", lanes)
     return _trusted_series(coeffs, t)
 
 

@@ -88,6 +88,12 @@ def psi_plus_fib_past_20(monkeypatch):
     monkeypatch.setattr(consecutive, "_total_and_count", mutated)
 
 
+# the DP's readout: each coefficient's bytes written one byte up its lane,
+# and column K read from row C(K, 2) of column 0
+dp_lane_one_byte_off = source_mutant(series, "_dp", "lanes[b::8]", "lanes[b + 1 :: 8]")
+dp_column_without_offset = source_mutant(
+    series, "_dp", "comb(k, 2) * row + k for", "comb(k, 2) * row for"
+)
 # every ladder quantity seeded 1 at t = 1 instead of 0
 ladder_seed_one = source_mutant(
     consecutive, "sequence_table", "([0, 0] for _ in range(5))", "([0, 1] for _ in range(5))"
@@ -165,6 +171,10 @@ CASES = {
     "size-formula": (size_formula_off_by_one, check("eta.roundtrip", 5, 12), "size formula"),
     "sparse-walk": (sparse_walk_steps_by_one, check("tt1.count_fibonacci", 8), "vs F_"),
     "dp-slots": (dp_one_byte_slots, dp_against_walk, "dp route"),
+    "dp-readout": (dp_lane_one_byte_off, dp_against_walk, "dp route"),
+    "dp-readout-column": (
+        dp_column_without_offset, check("genfun.dfs_vs_oracle", 5, 20), "dp route"
+    ),
     "psi-past-20": (psi_plus_fib_past_20, check("tt1.total_size", 20), "closed form"),
     "ladder-seed": (ladder_seed_one, check("tt1.table", 8), "recurrence/definitional mismatch"),
     "fib-doubling": (doubling_parity_swapped, check("tt1.table", 8), "a != F_("),

@@ -169,6 +169,22 @@ class TestEq2Routes:
         assert dp == series.distinct_core_series_walk(t, limit)
         assert (max(dp.coeffs) > 255) == multibyte
 
+    def test_dp_decodes_every_slot_width(self):
+        # slots of up to 8 bytes are decoded through 8-byte lanes, wider ones
+        # slot by slot. Past t > limit no hook can be t, so the series is
+        # q(n), the coefficients of prod(1 + x^k), here by a knapsack.
+        for t, limit, width in [(5, 10, 1), (6, 1400, 2), (16, 80, 3)]:
+            assert series._residue_bounds(t, limit)[4] == width
+            dp = series.distinct_core_series_dp(t, limit)
+            assert dp == series.distinct_core_series_walk(t, limit), (t, limit)
+        for t, limit, width in [(1000, 150, 8), (1000, 200, 10)]:
+            assert series._residue_bounds(t, limit)[4] == width
+            q = [1] + [0] * limit
+            for part in range(1, limit + 1):
+                for n in range(limit, part - 1, -1):
+                    q[n] += q[n - part]
+            assert series.distinct_core_series_dp(t, limit).coeffs == tuple(q), (t, limit)
+
     def test_dp_refuses_oversized_state(self):
         state_bytes = series._residue_bounds(2, series.SERIES_LIMIT_CAP)[5]
         assert state_bytes > series.DP_STATE_BYTES_CAP
