@@ -316,7 +316,14 @@ def _residue_bounds(t: int, limit: int) -> _Bounds:
     lambda_1 + l - 1 <= n) exceeds n: so positions past ``limit`` only
     hold 0, and ``caps`` has min(t - 1, limit) entries. ``nodes``
     counts the tuples within the caps with no two adjacent entries nonzero:
-    it bounds the vectors the walk counts.
+    it bounds the vectors the walk counts. The count grows like a Fibonacci
+    number, so it stops once it reaches 2^max(1000, bound), where ``bound``
+    is the bit bound on p(top) below, and ``nodes`` is then only a lower
+    bound. No reader needs more: the walk's estimate is infinite from 2^1000
+    on, and ``width`` takes the p(top) bound once the count has more bits.
+    Past that ceiling a position only adds its cap, with no big-int step, so
+    a request at t = 10^6 + 1 and limit 10^6 is derived in a fraction of a
+    second.
 
     A DP slot kept past a position counts the partial vectors of one
     (A, K) with A <= top. Each encodes a distinct-part partition of size
@@ -329,6 +336,8 @@ def _residue_bounds(t: int, limit: int) -> _Bounds:
     """
     k_max = (isqrt(8 * limit + 1) - 1) // 2
     top = limit + comb(k_max, 2)
+    bound = ceil(pi * sqrt(2 * top / 3) / log(2)) + 1  # bits of p(top), with margin
+    ceiling = 1 << max(1000, bound)
     caps = []
     n = k_max
     zero, nonzero = 1, 0  # separated tuples so far whose last entry is zero / nonzero
@@ -336,9 +345,10 @@ def _residue_bounds(t: int, limit: int) -> _Bounds:
         while i * n + t * comb(n, 2) > top:
             n -= 1
         caps.append(n)
-        zero, nonzero = zero + nonzero, zero * n
+        if zero < ceiling:
+            zero, nonzero = zero + nonzero, zero * n
     nodes = zero + nonzero
-    width = (min(nodes.bit_length(), ceil(pi * sqrt(2 * top / 3) / log(2)) + 1) + 7) // 8
+    width = (min(nodes.bit_length(), bound) + 7) // 8
     return k_max, top, caps, nodes, width, (top + 1) * (k_max + 1) * width
 
 

@@ -46,6 +46,16 @@ def distinct_census(t, limit):
     return census
 
 
+def distinct_part_counts(limit):
+    """q(n) for n <= limit, the partitions of n into distinct parts: the
+    coefficients of the product of (1 + x^k) over k = 1..limit."""
+    q = [1] + [0] * limit
+    for k in range(1, limit + 1):
+        for n in range(limit, k - 1, -1):
+            q[n] += q[n - k]
+    return q
+
+
 def expect_usage_error(argv):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
@@ -73,11 +83,12 @@ class TestSeriesCommand:
     @pytest.mark.parametrize(
         "option, value",
         [("--limit", "x" * 3000), ("--limit", "-" + "9" * 2999),
-         ("--t", "x" * 3000), ("--t", "9" * 3000)],
-        ids=["limit-junk", "limit-negative", "t-junk", "t-over-cap"],
+         ("--t", "x" * 3000), ("--limit", "9" * 3000)],
+        ids=["limit-junk", "limit-negative", "t-junk", "limit-over-cap"],
     )
     def test_long_argument_is_not_echoed(self, capsys, option, value):
-        # the usage error quotes a short prefix and the length, not the argument
+        # the usage error quotes a short prefix and the length, not the
+        # argument, whether the parser or the library refuses it
         argv = ["series", "--t", "3", "--limit", "9"]
         argv[argv.index(option) + 1] = value
         expect_usage_error(argv)
@@ -116,7 +127,7 @@ class TestSeriesCommand:
         # every n <= 60 is below t, so each coefficient is q(n), the number of
         # partitions of n into distinct parts
         limit = series.BRUTE_FORCE_CAP
-        argv = ["series", "--t", str(cli.SERIES_T_CAP), "--limit", str(limit)]
+        argv = ["series", "--t", "10000", "--limit", str(limit)]
         out = run_within_budget(capsys, [*argv, "--method", "oracle", "--format", "json"])
         q = [sum(1 for _ in enumerate_partitions(n, distinct_only=True)) for n in range(limit + 1)]
         assert json.loads(out)["coeffs"] == q
@@ -172,14 +183,14 @@ class TestSeriesCommand:
         # positions stop at the limit, past which no hook reaches
         argv = ["series", "--t", "1000", "--limit", str(limit), "--format", "json"]
         out = run_within_budget(capsys, argv, series.SERIES_BUDGET_S)
-        q = [1] + [0] * limit  # the product of (1 + x^k) over k = 1..limit
-        for k in range(1, limit + 1):
-            for n in range(limit, k - 1, -1):
-                q[n] += q[n - k]
-        assert json.loads(out)["coeffs"] == q
+        assert json.loads(out)["coeffs"] == distinct_part_counts(limit)
 
-    def test_rejects_t_over_cap(self):
-        expect_usage_error(["series", "--t", str(cli.SERIES_T_CAP + 1), "--limit", "1"])
+    def test_t_past_every_position_within_budget(self, capsys):
+        # no cap on --t: at t = 100001 every n <= 500 is below t, so each
+        # coefficient is q(n)
+        argv = ["series", "--t", "100001", "--limit", "500", "--format", "json"]
+        out = run_within_budget(capsys, argv, series.SERIES_BUDGET_S)
+        assert json.loads(out)["coeffs"] == distinct_part_counts(500)
 
     def test_rejects_estimate_over_budget(self, capsys):
         # 2.5e11 walk nodes; the DP state would need gigabytes
@@ -189,10 +200,12 @@ class TestSeriesCommand:
         expect_usage_error(["series", "--t", "11", "--limit", "6508"])
         err = capsys.readouterr().err
         assert "estimated at 5.00001" in err and "admitted at t=11 is 6507" in err
-        # at the caps of --t and --limit the refusal, with its search, stays quick
+        # at the cap of --limit, with positions past it, the refusal and its
+        # search stay quick
         started = time.perf_counter()
-        expect_usage_error(["series", "--t", str(cli.SERIES_T_CAP), "--limit", "1000000"])
+        expect_usage_error(["series", "--t", "1000001", "--limit", "1000000"])
         assert time.perf_counter() - started < 1.0
+        assert "admitted at t=1000001 is 927" in capsys.readouterr().err
 
     def test_refusal_out_of_estimate_names_no_time(self, capsys):
         # both estimates are infinite: the DP state is over its cap, and the
@@ -437,8 +450,20 @@ class TestVerifyCommand:
         total_size = next(c for c in payload["checks"] if c["check"] == "tt1.total_size")
         assert total_size["params"] == {"t_max": 2}
 
-    def test_t_max_cap(self):
-        expect_usage_error(["verify", "--suite", "all", "--t-max", "10000"])
+    def test_bounds_past_every_window_are_clamped(self, capsys, monkeypatch):
+        # each check's window is the only cap on --t-max and --n-max
+        argv = ["verify", "--suite", "tt1", "--t-max", "1000", "--format", "json"]
+        code, out, _ = run_ok(capsys, argv)
+        params = {c["check"]: c["params"] for c in json.loads(out)["checks"]}
+        assert code == 0 and json.loads(out)["t_max"] == 1000
+        assert params["tt1.table"] == {"t_max": 90, "definitional_t_max": 25}
+        assert params["tt1.ladder"] == {"t_max": 88}
+        # the one genfun check that reaches n = 2000; the others take seconds there
+        closed = {"genfun.dfs_vs_closed": verify.CHECKS["genfun.dfs_vs_closed"]}
+        monkeypatch.setattr(verify, "CHECKS", closed)
+        argv = ["verify", "--suite", "genfun", "--n-max", "100000", "--format", "json"]
+        code, out, _ = run_ok(capsys, argv)
+        assert code == 0 and json.loads(out)["checks"][0]["params"] == {"limit": 2000}
 
 
 def test_module_entry_point():
@@ -558,15 +583,19 @@ def test_text_and_json_agree(capsys, monkeypatch, argv):
     AGREE[argv[0]](text.splitlines(), json.loads(out))
 
 
-# Every numeric option with the largest value its parser or library admits.
+# Every numeric option with the largest value its parser or library admits,
+# or for an option nothing caps, a value past where its work stops growing.
 # enumerate caps the pair's gap cells, not t1 or t2: (2, 101) is the largest
 # pair with 2 and at most 50 cells. stats caps --t at STATS_T_CAP in the parser.
+# series --t 1000001 has a position for every limit up to the cap; verify
+# clamps into each check's window, whose largest tops are 90 and 2000, and
+# reads no --jobs.
 NUMERIC_OPTIONS = {
-    "series": {"--t": cli.SERIES_T_CAP, "--limit": series.SERIES_LIMIT_CAP},
+    "series": {"--t": 1_000_001, "--limit": series.SERIES_LIMIT_CAP},
     "enumerate": {"--t1": 101, "--t2": 101},
     "stats": {"--t": cli.STATS_T_CAP},
     "table": {"--t-max": consecutive.TABLE_CAP},
-    "verify": {"--t-max": cli.T_MAX_CAP, "--n-max": cli.N_MAX_CAP, "--jobs": 256},
+    "verify": {"--t-max": 90, "--n-max": 2000, "--jobs": 256},
 }
 CHOICE_OPTIONS = {
     "series": {"--method": tuple(cli.SERIES_METHODS), "--format": ("json", "text")},
@@ -608,8 +637,8 @@ def argvs(draw, command):
 def accepted_at_cap_work(argv):
     """Accepted commands that take seconds or more, which the within-budget
     tests time instead: a series admitted at the limit cap, and verify at
-    any bound past 3 or left at its default (about 10 s, minutes at its
-    caps)."""
+    any bound past 3 or left at its default (seconds, and up to a minute
+    at its largest windows)."""
     try:
         with contextlib.redirect_stderr(io.StringIO()):
             args = cli._build_parser().parse_args(argv)

@@ -211,6 +211,15 @@ class TestEq2Routes:
             distinct_core_series(10**5 + 1, 5000)
         assert time.perf_counter() - started < 0.5
 
+    @pytest.mark.parametrize("t", [10**6 + 1, 10**21], ids=["1e6+1", "1e21"])
+    def test_refusal_at_the_limit_cap_and_a_huge_t_is_quick(self, t):
+        # the request's derivation has 10^6 positions; its node count stops
+        # at a ceiling no estimate reads past, so each position is cheap
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="out of reach.* is 927$"):
+            distinct_core_series(t, series.SERIES_LIMIT_CAP)
+        assert time.perf_counter() - started < 1.0
+
 
 class TestClosedForms:
     def test_mod_2(self):

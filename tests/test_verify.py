@@ -15,55 +15,67 @@ from corekit import CheckReport, Partition, consecutive, verify
 from corekit.partitions import _trusted_partition
 from corekit.verify import Bound, Check
 
-# (t_max, n_max) requests: the defaults, the CLI's floor and the CLI's caps.
-REQUESTS = ((None, None), (2, 0), (64, 240))
+# (t_max, n_max) requests: the defaults, the CLI's floor, one inside only the
+# widest windows (tt1.table, tt1.ladder and genfun.dfs_vs_closed) and one past
+# every window's top. The CLI caps neither bound: the windows are the caps.
+REQUESTS = ((None, None), (2, 0), (64, 240), (10**6, 10**6))
 
 # Every check's params at each request, in the order its report lists them.
 WINDOWS = {
     "eta.roundtrip": (
-        {"t_max": 8, "n_max": 30}, {"t_max": 2, "n_max": 0}, {"t_max": 12, "n_max": 40}
+        {"t_max": 8, "n_max": 30}, {"t_max": 2, "n_max": 0}, {"t_max": 12, "n_max": 40},
+        {"t_max": 12, "n_max": 40},
     ),
     "eta.support": (
-        {"t_max": 8, "n_max": 30}, {"t_max": 2, "n_max": 0}, {"t_max": 12, "n_max": 40}
+        {"t_max": 8, "n_max": 30}, {"t_max": 2, "n_max": 0}, {"t_max": 12, "n_max": 40},
+        {"t_max": 12, "n_max": 40},
     ),
     "eta.vector_roundtrip": (
-        {"t_max": 8, "n_max": 30}, {"t_max": 2, "n_max": 0}, {"t_max": 12, "n_max": 40}
+        {"t_max": 8, "n_max": 30}, {"t_max": 2, "n_max": 0}, {"t_max": 12, "n_max": 40},
+        {"t_max": 12, "n_max": 40},
     ),
     "genfun.coefficient_bounds": (
-        {"t_max": 8, "limit": 40}, {"t_max": 2, "limit": 0}, {"t_max": 12, "limit": 60}
+        {"t_max": 8, "limit": 40}, {"t_max": 2, "limit": 0}, {"t_max": 12, "limit": 60},
+        {"t_max": 12, "limit": 60},
     ),
-    "genfun.dfs_vs_closed": ({"limit": 200}, {"limit": 0}, {"limit": 240}),
+    "genfun.dfs_vs_closed": ({"limit": 200}, {"limit": 0}, {"limit": 240}, {"limit": 2000}),
     "genfun.dfs_vs_oracle": (
-        {"t_max": 7, "limit": 60}, {"t_max": 2, "limit": 0}, {"t_max": 10, "limit": 80}
+        {"t_max": 7, "limit": 60}, {"t_max": 2, "limit": 0}, {"t_max": 10, "limit": 80},
+        {"t_max": 10, "limit": 80},
     ),
     "genfun.support_soundness": (
-        {"t_max": 8, "limit": 40}, {"t_max": 2, "limit": 0}, {"t_max": 12, "limit": 60}
+        {"t_max": 8, "limit": 40}, {"t_max": 2, "limit": 0}, {"t_max": 12, "limit": 60},
+        {"t_max": 12, "limit": 60},
     ),
-    "kernel.beta_algebra": ({"n_max": 40}, {"n_max": 0}, {"n_max": 48}),
-    "kernel.column_hooks": ({"n_max": 25}, {"n_max": 0}, {"n_max": 40}),
+    "kernel.beta_algebra": ({"n_max": 40}, {"n_max": 0}, {"n_max": 48}, {"n_max": 48}),
+    "kernel.column_hooks": ({"n_max": 25}, {"n_max": 0}, {"n_max": 40}, {"n_max": 40}),
     "kernel.core_predicates": (
-        {"t_max": 12, "n_max": 30}, {"t_max": 2, "n_max": 0}, {"t_max": 20, "n_max": 40}
+        {"t_max": 12, "n_max": 30}, {"t_max": 2, "n_max": 0}, {"t_max": 20, "n_max": 40},
+        {"t_max": 20, "n_max": 40},
     ),
-    "kernel.distinct_equivalence": ({"n_max": 40}, {"n_max": 0}, {"n_max": 48}),
-    "kernel.distinct_pair_reach": ({"t_max": 12}, {"t_max": 2}, {"t_max": 14}),
-    "kernel.pair_core_band": ({"t_max": 10}, {"t_max": 2}, {"t_max": 10}),
+    "kernel.distinct_equivalence": ({"n_max": 40}, {"n_max": 0}, {"n_max": 48}, {"n_max": 48}),
+    "kernel.distinct_pair_reach": ({"t_max": 12}, {"t_max": 2}, {"t_max": 14}, {"t_max": 14}),
+    "kernel.pair_core_band": ({"t_max": 10}, {"t_max": 2}, {"t_max": 10}, {"t_max": 10}),
     "kernel.pair_enumeration": (
-        {"gap_cells_max": 20}, {"gap_cells_max": 20}, {"gap_cells_max": 20}
+        {"gap_cells_max": 20}, {"gap_cells_max": 20}, {"gap_cells_max": 20},
+        {"gap_cells_max": 20},
     ),
     "tt1.count_fibonacci": (
         {"t_max": 30, "gap_check_t_max": 9},
         {"t_max": 2, "gap_check_t_max": 2},
         {"t_max": 32, "gap_check_t_max": 9},
+        {"t_max": 32, "gap_check_t_max": 9},
     ),
-    "tt1.extremes": ({"t_max": 25}, {"t_max": 2}, {"t_max": 26}),
-    "tt1.ladder": ({"t_max": 60}, {"t_max": 4}, {"t_max": 64}),
-    "tt1.size_bound": ({"t_max": 15}, {"t_max": 2}, {"t_max": 22}),
+    "tt1.extremes": ({"t_max": 25}, {"t_max": 2}, {"t_max": 26}, {"t_max": 26}),
+    "tt1.ladder": ({"t_max": 60}, {"t_max": 4}, {"t_max": 64}, {"t_max": 88}),
+    "tt1.size_bound": ({"t_max": 15}, {"t_max": 2}, {"t_max": 22}, {"t_max": 22}),
     "tt1.table": (
         {"t_max": 60, "definitional_t_max": 25},
         {"t_max": 2, "definitional_t_max": 2},
         {"t_max": 64, "definitional_t_max": 25},
+        {"t_max": 90, "definitional_t_max": 25},
     ),
-    "tt1.total_size": ({"t_max": 25}, {"t_max": 2}, {"t_max": 26}),
+    "tt1.total_size": ({"t_max": 25}, {"t_max": 2}, {"t_max": 26}, {"t_max": 26}),
 }
 
 
@@ -109,7 +121,7 @@ def test_window_is_pinned(monkeypatch, name):
         calls.append(params)
 
     monkeypatch.setitem(verify.CHECKS, name, verify.CHECKS[name]._replace(sweep=stub))
-    for (t_max, n_max), expected in zip(REQUESTS, WINDOWS[name]):
+    for (t_max, n_max), expected in zip(REQUESTS, WINDOWS[name], strict=True):
         report = verify.run_check(name, t_max, n_max)
         assert report.passed and report.check == name
         assert list(report.params.items()) == list(expected.items())
