@@ -8,9 +8,13 @@ For every grid point it prints the walk's and the DP's measured seconds
 dispatch picks and the route that measured faster. At each t of
 ``CORNER_T`` it also runs the largest limit ``series.distinct_core_series``
 admits under ``series.SERIES_BUDGET_S``, on the picked route (one run,
-unscaled, as a caller waits for it). One corner, t = 1000, has t far above
-L: nearly every position there has cap 1, so its few operations per
-position each make a fresh int of the whole state.
+unscaled, as a caller waits for it), with the call's minor page faults and
+the growth of the process's max RSS over the call (``resource.getrusage``
+deltas; the growth reads 0 where an earlier call already reached that
+peak), and, on the DP, the bytes of the packed state it built. One corner,
+t = 1000, has t far above L: at its positions past 95 (of 860) only
+n = 1 lands in a kept slot of the DP's state, so each is one shift, one
+add and one mask, each making a fresh int of the whole state.
 
 ``median_measured_over_estimate`` gives, per route, the median of
 measured over estimated seconds where its constants were fitted. For the
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import json
 import platform
+import resource
 import statistics
 import sys
 import time
@@ -70,18 +75,31 @@ def best_of(route, t: int, limit: int) -> float:
     return min(times)
 
 
+def dp_state_bytes(t: int, limit: int) -> int:
+    """The bytes of the packed state the DP builds for (t, limit)."""
+    bounds = series._residue_bounds(t, limit)
+    _, c, h, r = series._dp_layout(t, limit, bounds)
+    return (h + c + 1) * r * bounds[4]
+
+
 def corner_point(t: int) -> dict:
     limit = series._largest_admitted(t)
     est = series.eq2_costs(t, limit)
     picked = min(est, key=est.get)
+    before = resource.getrusage(resource.RUSAGE_SELF)
     started = time.perf_counter()
     series.EQ2_ROUTES[picked](t, limit)
+    measured = time.perf_counter() - started
+    after = resource.getrusage(resource.RUSAGE_SELF)
     point = {
         "t": t,
         "limit": limit,
         "picked": picked,
         "est_s": est[picked],
-        "measured_s": time.perf_counter() - started,
+        "measured_s": measured,
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+        "max_rss_growth_mb": (after.ru_maxrss - before.ru_maxrss) / 1024,  # ru_maxrss is in KiB
+        "dp_state_bytes": dp_state_bytes(t, limit) if picked == "dp" else None,
     }
     print(f"corner {point}", file=sys.stderr)
     return point

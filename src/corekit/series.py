@@ -10,7 +10,8 @@ Three routes are kept side by side on purpose:
   the size is a quadratic in the last nonzero entry, counts every choice of
   that entry in one tight loop; :func:`distinct_core_series_dp` sums the
   vectors by dynamic programming over residues, without listing them, with
-  the counts of each (A, K) packed into one big int per state. The
+  the counts of each (A, K) packed into one big int per state, in rows of
+  B = A - alpha*K that cover only the band vectors of size <= limit pass. The
   walk wins when there are few vectors (small t, any limit); the DP when
   there are many. Neither runs the beta-set walk of :mod:`corekit.cores`,
   whose census ``verify`` compares with both. Only the dispatcher has a
@@ -58,7 +59,9 @@ DP_STATE_BYTES_CAP = 1 << 25
 # margin the previous K-major state's constants left, on the grid and at the
 # script's corners, where SERIES_BUDGET_S cuts off. They are not scaled by the
 # script's median_measured_over_estimate (0.35-0.50 for the DP there), which
-# would admit limits whose calls take about the whole budget.
+# would admit limits whose calls take about the whole budget. The estimate
+# still reads the A-major state's size, an upper bound on the sheared state
+# the DP builds (_dp_layout).
 WALK_NODE_S = 0.15e-6  # per node of the walk's node bound
 DP_WORD_S = 7.0e-9  # per 64-bit word of state a big-int shift, add or mask reads
 DP_OP_S = 1.0e-6  # per big-int operation, on top of its words
@@ -226,25 +229,65 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
     The size of a vector is A - C(K, 2), with A = sum(i*n_i + t*C(n_i, 2))
     and K = sum(n_i). The positions of :func:`_residue_bounds` are taken in
     turn; the state is whether the last entry is nonzero, and each state
-    holds the counts of its partial vectors by (A, K). Those of one flag are
-    packed into one int, A-major: slot (A, K) is slot A*(k_max + 1) + K, of
-    ``width`` bytes, which hold any count (Kronecker substitution). Setting
-    n_i = n is then one shift of that int by (i*n + t*C(n, 2))*(k_max + 1)
-    + n slots, and one low-bits mask per position keeps the slots A <= top.
-    That truncation is exact: A only grows, and the beta-set of a partial
-    vector has K elements, none consecutive, so A >= 1 + 3 + ... + (2K - 1)
-    = K^2. As top < (k_max + 1)^2, every term with A <= top has K <= k_max
-    and its own slot, and every other term, or carry, lands past the cut.
+    holds the counts of its partial vectors by (A, K). The beta-set of a
+    partial vector has K elements, none consecutive, so A >= 1 + 3 + ... +
+    (2K - 1) = K^2. The counts of one flag are packed into one int, sheared:
+    with B = A - alpha*K, slot (A, K) is slot (B + c)*R + K, of ``width``
+    bytes (Kronecker substitution). Setting n_i = n is then one shift of
+    that int by ((i - alpha)*n + t*C(n, 2))*R + n slots, a right shift at
+    some positions i < alpha, and one low-bits mask per position keeps the
+    rows B <= H. :func:`_dp_layout` picks alpha = k_max // 2, and each bound
+    is exact:
 
-    Size A - C(K, 2) puts column K, from row C(K, 2) on, at sizes
-    0..limit. The readout views the final state as one slot a row and takes
-    each column with one strided slice, sums the columns as packed ints,
-    and decodes all limit + 1 sums with one little-endian ``struct.unpack``
-    of 8-byte lanes, filled with ``width`` strided byte copies. Slots wider
-    than 8 bytes are decoded one ``int.from_bytes`` each.
+    * c: B >= K^2 - alpha*K >= -floor(alpha^2 / 4) = -c, so no real term
+      has a negative slot, and a right shift drops none.
+    * H: a vector of size <= limit ends with B <= limit + C(K, 2) -
+      alpha*K <= limit, as K <= k_max <= 2*alpha + 1. Only the positions
+      j < alpha can lower B, each by at most D_j = max_n (n*(alpha - j) -
+      t*C(n, 2)), so a partial vector with B > limit + D, D = sum D_j,
+      reaches no output; H is limit + D.
+    * R: the least R > k_max with R*(R - alpha) > H. Every term with B <= H
+      then has K < R and its own slot, and every other term, or carry,
+      lands past the cut.
+    * width: a kept partial vector has size B + alpha*K - C(K, 2) <= H +
+      C(alpha + 1, 2). The shear is taken only where that is <= top, so
+      the p(top) bound of ``width`` covers every slot, and only where its
+      state is smaller than the unsheared one; otherwise alpha = 0, c = 0,
+      H = top and R = k_max + 1, the A-major layout.
+
+    An entry whose step of B exceeds H + c lands past the cut from every
+    kept slot, so it is skipped. That step is convex in n and at most H + c
+    at n = 1, so every n past the first skipped one is skipped too.
+
+    Size A - C(K, 2) puts column K, from its least size C(K + 1, 2) on, at
+    row K^2 - alpha*K + c. The readout views the final state as one slot a
+    row and takes each column from there with one strided slice, sums the
+    columns as packed ints, each shifted up by its least size, and decodes
+    all limit + 1 sums with one little-endian ``struct.unpack`` of 8-byte
+    lanes, filled with ``width`` strided byte copies. Slots wider than 8
+    bytes are decoded one ``int.from_bytes`` each.
     """
     _check_args(t, limit)
     return _dp(t, limit, _residue_bounds(t, limit))
+
+
+def _dp_layout(t: int, limit: int, bounds: _Bounds) -> tuple[int, int, int, int]:
+    """``(alpha, c, H, R)``, the layout of :func:`_dp`'s state, in O(1)
+    where t >= alpha and in O(alpha) elsewhere."""
+    k_max, top, caps, _, _, _ = bounds
+    alpha = k_max // 2
+    c = alpha * alpha // 4
+    m = min(alpha - 1, len(caps))  # positions 1..m are those below alpha
+    if t >= alpha:  # D_j = alpha - j, at n = 1
+        d = m * alpha - m * (m + 1) // 2
+    else:  # D_j at n = ceil((alpha - j) / t), where the fall stops growing
+        falls = (((alpha - j - 1) // t + 1, alpha - j) for j in range(1, m + 1))
+        d = sum(n * fall - t * comb(n, 2) for n, fall in falls)
+    h = limit + d
+    r = max(k_max + 1, (alpha + isqrt(alpha * alpha + 4 * h)) // 2 + 1)
+    if h + alpha * (alpha + 1) // 2 > top or (h + c + 1) * r >= (top + 1) * (k_max + 1):
+        return 0, 0, top, k_max + 1
+    return alpha, c, h, r
 
 
 def _dp(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
@@ -252,20 +295,31 @@ def _dp(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
     if state_bytes > DP_STATE_BYTES_CAP:
         request = f"t={_shown(t)}, limit={_shown(limit)}"
         raise ValueError(f"residue DP state for {request} exceeds {DP_STATE_BYTES_CAP} bytes")
-    row = k_max + 1
+    alpha, c, h, r = _dp_layout(t, limit, bounds)
     bits = 8 * width
-    mask = (1 << (top + 1) * row * bits) - 1
-    zero, nonzero = 1, 0  # last entry zero (or no entry yet) / nonzero
-    for i, cap in enumerate(caps, start=1):  # cap >= 1, as i <= limit <= top
-        grown = zero << (i * row + 1) * bits
+    rows = h + c + 1
+    mask = (1 << rows * r * bits) - 1
+    zero, nonzero = 1 << c * r * bits, 0  # last entry zero (or no entry yet) / nonzero
+    # lean = i - alpha at position i; cap >= 1, as i <= limit <= top
+    for lean, cap in enumerate(caps, start=1 - alpha):
+        shift = (lean * r + 1) * bits
+        grown = zero << shift if shift >= 0 else zero >> -shift
+        step = lean  # B's step of n_i = n: lean*n + t*C(n, 2)
         for n in range(2, cap + 1):
-            grown += zero << ((i * n + t * comb(n, 2)) * row + n) * bits
+            step += lean + t * (n - 1)
+            if step >= rows:  # past the cut from every kept slot
+                break
+            shift = (step * r + n) * bits
+            grown += zero << shift if shift >= 0 else zero >> -shift
         zero, nonzero = zero + nonzero, grown & mask
-    # size = A - C(K, 2): column K, read from row C(K, 2) on, adds to sizes 0..limit
-    slots = (zero + nonzero).to_bytes(state_bytes, "little")
-    grid = memoryview(slots).cast("B", [(top + 1) * row, width])  # one slot a row
-    starts = (comb(k, 2) * row + k for k in range(row))
-    packed = sum(int.from_bytes(grid[s : s + (limit + 1) * row : row], "little") for s in starts)
+    # column K, from its least size C(K + 1, 2) on, adds to sizes up to limit
+    slots = (zero + nonzero).to_bytes(rows * r * width, "little")
+    grid = memoryview(slots).cast("B", [rows * r, width])  # one slot a row
+    columns = ((comb(k + 1, 2), (k * (k - alpha) + c) * r + k) for k in range(k_max + 1))
+    packed = sum(
+        int.from_bytes(grid[s : s + (limit + 1 - least) * r : r], "little") << least * bits
+        for least, s in columns
+    )
     span = (limit + 1) * width
     raw = packed.to_bytes(span, "little")
     if width > 8:

@@ -89,10 +89,13 @@ def psi_plus_fib_past_20(monkeypatch):
 
 
 # the DP's readout: each coefficient's bytes written one byte up its lane,
-# and column K read from row C(K, 2) of column 0
+# and column K read from its first row in column 0
 dp_lane_one_byte_off = source_mutant(series, "_dp", "lanes[b::8]", "lanes[b + 1 :: 8]")
-dp_column_without_offset = source_mutant(
-    series, "_dp", "comb(k, 2) * row + k for", "comb(k, 2) * row for"
+dp_column_without_offset = source_mutant(series, "_dp", "* r + k) for", "* r) for")
+# the DP's shear: the rows below B = 0 one or more short of -min(K^2 - alpha*K),
+# so a right shift drops some real terms
+dp_shear_rows_short = source_mutant(
+    series, "_dp_layout", "c = alpha * alpha // 4", "c = (alpha - 1) ** 2 // 4"
 )
 # every ladder quantity seeded 1 at t = 1 instead of 0
 ladder_seed_one = source_mutant(
@@ -174,6 +177,9 @@ CASES = {
     "dp-readout": (dp_lane_one_byte_off, dp_against_walk, "dp route"),
     "dp-readout-column": (
         dp_column_without_offset, check("genfun.dfs_vs_oracle", 5, 20), "dp route"
+    ),
+    "dp-shear-rows": (
+        dp_shear_rows_short, check("genfun.dfs_vs_oracle", 5, 20), "dp route"
     ),
     "psi-past-20": (psi_plus_fib_past_20, check("tt1.total_size", 20), "closed form"),
     "ladder-seed": (ladder_seed_one, check("tt1.table", 8), "recurrence/definitional mismatch"),

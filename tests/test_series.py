@@ -1,5 +1,6 @@
 import re
 import time
+from itertools import count
 from math import inf
 
 import pytest
@@ -31,6 +32,33 @@ def distinct_count_oracle(n, max_part=None):
         distinct_count_oracle(n - first, first - 1)
         for first in range(min(n, max_part), 0, -1)
     )
+
+
+def distinct_part_counts(limit):
+    """q(n) for n <= limit, the coefficients of prod(1 + x^k), by a knapsack."""
+    q = [1] + [0] * limit
+    for part in range(1, limit + 1):
+        for n in range(limit, part - 1, -1):
+            q[n] += q[n - part]
+    return q
+
+
+def walk_census(t, limit):
+    """Distinct-part t-cores by size, from the beta-set walk."""
+    counts = [0] * (limit + 1)
+    for _, size in _walk_cores(t, limit, True):
+        counts[size] += 1
+    return tuple(counts)
+
+
+# the grid on which the eq2 derivation's results are pinned
+BOUNDS_GRID = [
+    (t, limit)
+    for t in [*range(2, 11), 12, 14, 16, 20, 30, 50, 100, 300, 1000, 10**4]
+    for limit in (0, 1, 2, 5, 16, 40, 100, 300, 1000, 3000, 10000)
+]
+# the largest limits admitted at t = 9, 12, 20 and 1000
+BUDGET_CORNERS = [(9, 6902), (12, 5670), (20, 4132), (1000, 860)]
 
 
 class TestSeriesType:
@@ -179,11 +207,84 @@ class TestEq2Routes:
             assert dp == series.distinct_core_series_walk(t, limit), (t, limit)
         for t, limit, width in [(1000, 150, 8), (1000, 200, 10)]:
             assert series._residue_bounds(t, limit)[4] == width
-            q = [1] + [0] * limit
-            for part in range(1, limit + 1):
-                for n in range(limit, part - 1, -1):
-                    q[n] += q[n - part]
+            q = distinct_part_counts(limit)
             assert series.distinct_core_series_dp(t, limit).coeffs == tuple(q), (t, limit)
+
+    @pytest.mark.parametrize(("t", "limit"), [(3, 3000), (4, 2000), (5, 1000)])
+    def test_walk_equals_dp_and_census_where_the_shear_shifts_right(self, t, limit):
+        # every position i < t is below alpha, so each n_i = 1 is a right
+        # shift, and the entries there lower B by up to D = H - limit > 0,
+        # summed from each position's best n (> 1 here, as t < alpha)
+        alpha, _, h, _ = series._dp_layout(t, limit, series._residue_bounds(t, limit))
+        assert t < alpha and h > limit
+        walk = series.distinct_core_series_walk(t, limit)
+        assert walk.coeffs == walk_census(t, limit)
+        assert series.distinct_core_series_dp(t, limit) == walk
+
+    @pytest.mark.parametrize("t", [2, 3, 1000])
+    def test_unsheared_layout_at_the_smallest_limits(self, t):
+        # up to limit 2, k_max <= 1 and alpha = 0: the A-major layout
+        for limit in range(3):
+            bounds = series._residue_bounds(t, limit)
+            k_max, top = bounds[:2]
+            assert series._dp_layout(t, limit, bounds) == (0, 0, top, k_max + 1)
+            walk = series.distinct_core_series_walk(t, limit)
+            assert walk.coeffs == walk_census(t, limit)
+            assert series.distinct_core_series_dp(t, limit) == walk
+
+    @pytest.mark.parametrize(("t", "limit"), [(3, 3000), (6, 1400), (16, 80), (1000, 200)])
+    def test_unsheared_layout_where_the_shear_pays(self, monkeypatch, t, limit):
+        # the fallback, alpha = 0, is the A-major layout: forced where the
+        # shear is taken, it still gives the walk's series (q(n) past t > limit)
+        bounds = series._residue_bounds(t, limit)
+        assert series._dp_layout(t, limit, bounds)[0] > 1
+        monkeypatch.setattr(series, "_dp_layout", lambda t, limit, b: (0, 0, b[1], b[0] + 1))
+        dp = series.distinct_core_series_dp(t, limit)
+        if t > limit:
+            assert dp.coeffs == tuple(distinct_part_counts(limit))
+        else:
+            assert dp == series.distinct_core_series_walk(t, limit)
+
+    @pytest.mark.parametrize(("limit", "width"), [(200, 10), (250, 11)])
+    def test_sheared_slots_wider_than_eight_bytes(self, limit, width):
+        # t > limit: the series is q(n); the shear's right shifts and its
+        # D > 0 apply to slots decoded one int.from_bytes each
+        bounds = series._residue_bounds(1000, limit)
+        alpha, _, h, _ = series._dp_layout(1000, limit, bounds)
+        assert bounds[4] == width and alpha > 1 and h > limit
+        q = distinct_part_counts(limit)
+        assert series.distinct_core_series_dp(1000, limit).coeffs == tuple(q)
+
+    def test_dp_layout_within_the_estimated_state(self):
+        # DP_STATE_BYTES_CAP and the DP's estimate read the A-major size
+        for t, limit in BOUNDS_GRID + BUDGET_CORNERS:
+            bounds = series._residue_bounds(t, limit)
+            k_max, top, _, _, width, state_bytes = bounds
+            alpha, c, h, r = series._dp_layout(t, limit, bounds)
+            assert (h + c + 1) * r * width <= state_bytes, (t, limit)
+            assert alpha in (0, k_max // 2), (t, limit)
+
+    def test_dp_layout_meets_its_definitions(self):
+        # each closed form against the bound it stands for, by search
+        for t, limit in BOUNDS_GRID + BUDGET_CORNERS:
+            bounds = series._residue_bounds(t, limit)
+            k_max, top, caps, _, _, _ = bounds
+            alpha, c, h, r = series._dp_layout(t, limit, bounds)
+            if alpha == 0:
+                assert (c, h, r) == (0, top, k_max + 1), (t, limit)
+                continue
+            assert c == -min(k * (k - alpha) for k in range(k_max + 1)), (t, limit)
+            # no end of size <= limit has B > limit, and only positions
+            # j < alpha lower B, each by its best n
+            assert all(k * (k - 1) // 2 <= alpha * k for k in range(k_max + 1))
+            lowered = [
+                max(n * (alpha - j) - t * (n * (n - 1) // 2) for n in range(alpha + 1))
+                for j in range(1, min(alpha, len(caps) + 1))
+            ]
+            assert h == limit + sum(lowered), (t, limit)
+            least = next(r for r in count(k_max + 1) if r * (r - alpha) > h)
+            assert r == least, (t, limit)
+            assert h + alpha * (alpha + 1) // 2 <= top, (t, limit)
 
     def test_dp_refuses_oversized_state(self):
         state_bytes = series._residue_bounds(2, series.SERIES_LIMIT_CAP)[5]
