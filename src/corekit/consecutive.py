@@ -11,12 +11,14 @@ order, the empty set first, and a caller that keeps a subset copies it.
 ``_size_census`` reads every partition size off it, building no Partition.
 
 The statistics take O(log t) big-int steps, plus the size of their output.
-Each reads the pair (F_{n-1}, F_n) off ``_fib_pair``'s fast doubling, and
-``total_size`` evaluates psi_n at n = t+1 in closed form,
+``_total_and_count`` reads the pair (F_{n-1}, F_n) off ``_fib_pair``'s fast
+doubling and evaluates psi_n at n = t+1 in closed form,
 
     psi_n = ((5n^2 - 3n - 2) F_n - 6n F_{n-1}) / 50,
 
-from that one pair. ``maximizers`` writes its parts down directly. The
+from that one pair; the count, the total and the average all read it, and
+it keeps the last t's answer, so one ``corekit stats`` request derives its
+t once. ``maximizers`` writes its parts down directly. The
 direct convolutions (O(n) and O(n^2) products) stay public as independent
 oracles: ``verify`` rechecks the table's rows against them and compares all
 three routes. The ladder of :func:`sequence_table` starts from zeros at
@@ -115,9 +117,10 @@ def distinct_core_partitions(t: int) -> tuple[Partition, ...]:
 
 
 def count_distinct_cores(t: int) -> int:
-    """Closed form for ``len(distinct_core_partitions(t))``: F_{t+1}."""
-    _require_ints((t,), 2, "need t >= 2")
-    return _fib_pair(t + 1)[1]
+    """Closed form for ``len(distinct_core_partitions(t))``: F_{t+1}, read
+    off :func:`_total_and_count`, the derivation it shares with
+    :func:`total_size` and :func:`average_size`."""
+    return _total_and_count(t)[1]
 
 
 def largest_size(t: int) -> int:
@@ -143,7 +146,7 @@ def maximizers(t: int) -> list[Partition]:
     """
     _require_ints((t,), 2, "need t >= 2")
     n, r = divmod(t, 3)
-    ks = {0: [n], 1: [n, n + 1], 2: [n + 1]}[r]
+    ks = ((n,), (n, n + 1), (n + 1,))[r]
     return [_trusted_partition(tuple(range(t - k, t - 2 * k, -1))) for k in ks]
 
 
@@ -172,8 +175,18 @@ def _fib_table(n: int) -> list[int]:
     return table
 
 
+@lru_cache(maxsize=1, typed=True)
 def _total_and_count(t: int) -> tuple[int, int]:
-    """(psi_{t+1}, F_{t+1}) from one Fibonacci pair, psi in closed form."""
+    """(psi_{t+1}, F_{t+1}) from one Fibonacci pair, psi in closed form.
+
+    The one derivation of a t for :func:`count_distinct_cores`,
+    :func:`total_size` and :func:`average_size`: it validates t, runs
+    ``_fib_pair`` once, and keeps the last t's answer, so the three calls
+    of one ``corekit stats`` request derive their t once. The memo is
+    typed: untyped, ``7.0`` and ``True`` would hash as the ints 7 and 1 and
+    read their answers instead of reaching the validation that refuses
+    them. ``fibonacci`` calls ``_fib_pair`` itself and never fills it.
+    """
     _require_ints((t,), 2, "need t >= 2")
     n = t + 1
     f_prev, f = _fib_pair(n)
@@ -188,15 +201,19 @@ def total_size(t: int) -> int:
 
     This is the triple Fibonacci convolution psi_{t+1}, evaluated in
     O(log t) big-int steps as ((5n^2 - 3n - 2) F_n - 6n F_{n-1}) / 50 with
-    n = t+1, from one fast-doubling pair. The direct
-    O(t^2) sum, :func:`fibonacci_triple_convolution`, is kept as the oracle
-    that ``verify`` checks this against.
+    n = t+1, from one fast-doubling pair, by :func:`_total_and_count`, the
+    derivation it shares with :func:`count_distinct_cores` and
+    :func:`average_size`. The direct O(t^2) sum,
+    :func:`fibonacci_triple_convolution`, is kept as the oracle that
+    ``verify`` checks this against.
     """
     return _total_and_count(t)[0]
 
 
 def average_size(t: int) -> Fraction:
-    """Average size as an exact reduced fraction (total over the F_{t+1} count)."""
+    """Average size as an exact reduced fraction, total over the F_{t+1}
+    count, both read off :func:`_total_and_count`, the derivation it shares
+    with :func:`count_distinct_cores` and :func:`total_size`."""
     return Fraction(*_total_and_count(t))
 
 

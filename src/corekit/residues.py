@@ -41,6 +41,10 @@ from typing import Iterable, Iterator
 from .cores import _closed_under, _walk_cores
 from .partitions import Partition, _decode_beta, _require_ints, _shown, beta_set
 
+# iter_core_vectors' size budget: the walk zero-fills about 3 bytes per unit
+# of it before its first vector; series.SERIES_LIMIT_CAP is this same bound
+VECTOR_SIZE_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class ResidueVector:
@@ -141,7 +145,10 @@ def separated_support(v: ResidueVector) -> bool:
 
 
 def iter_core_vectors(t: int, max_size: int) -> Iterator[ResidueVector]:
-    """Every residue vector whose encoded partition has size <= ``max_size``."""
+    """Every residue vector whose encoded partition has size <= ``max_size``,
+    for ``max_size`` up to :data:`VECTOR_SIZE_CAP`."""
     _require_ints((t,), 2, "modulus must be >= 2")
-    _require_ints((max_size,), 0, "max_size must be >= 0")
+    _require_ints(
+        (max_size,), 0, f"max_size must be in [0, {VECTOR_SIZE_CAP}]", VECTOR_SIZE_CAP
+    )
     return (_vector_of_beta(beta, t) for beta, _ in _walk_cores(t, max_size, False))

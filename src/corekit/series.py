@@ -40,9 +40,9 @@ from typing import Iterator
 
 from .cores import _walk_cores, enumerate_partitions, is_core
 from .partitions import _require_ints, _shown
-from .residues import ResidueVector, _vector_of_beta
+from .residues import VECTOR_SIZE_CAP, ResidueVector, _vector_of_beta
 
-SERIES_LIMIT_CAP = 1_000_000
+SERIES_LIMIT_CAP = VECTOR_SIZE_CAP
 BRUTE_FORCE_CAP = 60
 SERIES_BUDGET_S = 5.0  # distinct_core_series refuses cheaper estimates over this
 # Largest packed DP state, in bytes; past it a direct DP call refuses

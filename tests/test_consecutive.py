@@ -24,6 +24,7 @@ from corekit import (
     size_from_beta,
     total_size,
 )
+from corekit import consecutive
 from corekit.consecutive import (
     _POPULATION_CAP,
     _fib_pair,
@@ -222,6 +223,45 @@ class TestSizeStatistics:
     def test_average_at_large_t(self):
         for t in (1000, 5000):
             assert average_size(t) == Fraction(total_size(t), fibonacci(t + 1))
+
+
+class TestSharedDerivation:
+    """count_distinct_cores, total_size and average_size read one memoized
+    derivation of their t, ``_total_and_count``."""
+
+    def test_one_round_at_one_t_derives_it_once(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return _fib_pair(n)
+
+        monkeypatch.setattr(consecutive, "_fib_pair", counted)
+        consecutive._total_and_count.cache_clear()
+        count_distinct_cores(321)
+        total_size(321)
+        average_size(321)
+        assert calls == [322]
+
+    def test_interleaved_t_keep_their_own_answers(self):
+        # F and the ladder's phi/psi recurrences, stepped here from t = 0
+        top = 402
+        fib, phi, psi = [0, 1], [0, 0], [0, 0]
+        for t in range(2, top + 1):
+            fib.append(fib[-1] + fib[-2])
+            phi.append(phi[t - 1] + phi[t - 2] + fib[t - 1])
+            psi.append(psi[t - 1] + psi[t - 2] + phi[t - 1])
+        for t in (100, 101, 100, 2, 400, 2):
+            assert count_distinct_cores(t) == fib[t + 1], t
+            assert total_size(t) == psi[t + 1], t
+            assert average_size(t) == Fraction(psi[t + 1], fib[t + 1]), t
+
+    def test_a_float_is_refused_right_after_its_int_is_answered(self):
+        # an untyped memo would hand 7.0 the answer it keeps for 7
+        for fn in (count_distinct_cores, total_size, average_size):
+            total_size(7)
+            with pytest.raises(ValueError, match=re.escape("need t >= 2, got 7.0")):
+                fn(7.0)
 
 
 class TestSequenceTable:

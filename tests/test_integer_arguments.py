@@ -45,8 +45,8 @@ RULES = [
      "modulus must be >= 2"),
     ("iter_core_vectors.t", lambda x: list(residues.iter_core_vectors(x, 3)), 2, None,
      "modulus must be >= 2"),
-    ("iter_core_vectors.max_size", lambda x: list(residues.iter_core_vectors(3, x)), 0, None,
-     "max_size must be >= 0"),
+    ("iter_core_vectors.max_size", lambda x: list(residues.iter_core_vectors(3, x)), 0, 10**6,
+     "max_size must be in [0, 1000000]"),
     ("abacus_is_t_core.t", lambda x: cores.abacus_is_t_core({1}, x), 1, None,
      "modulus must be >= 1"),
     ("enumerate_partitions", lambda x: next(cores.enumerate_partitions(x)), 0, 120,
