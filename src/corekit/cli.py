@@ -21,6 +21,7 @@ import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import astuple
+from functools import cache
 
 from . import consecutive, cores, series, verify
 from .partitions import Partition, _shown, beta_set
@@ -64,6 +65,7 @@ def _ranged_int(lo: int, hi: int | None = None):
     return parse
 
 
+@cache  # built once per process; parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="corekit",

@@ -175,21 +175,26 @@ def distinct_core_series_walk(t: int, limit: int) -> CoefficientSeries:
     A as in :func:`distinct_core_series_dp`; the entries from p on are
     free. Setting one more entry n_j = m at a position j >= p, with zeros
     after it, gives a vector of size A - C(K, 2) + (j - K)*m + (t - 1)*C(m, 2).
-    That is convex in m, so the m loop counts each size <= limit and stops
-    only where the size is over the limit and still rising: it can fall
-    first. Each vector is counted once, at its last nonzero entry, and the
-    prefix it makes, with j + 2 the next free position, is pushed while an
-    entry can still follow. A only grows, and every vector of size <= limit
-    has A <= top (see :func:`_residue_bounds`), so both prunes on ``top``
-    are exact.
+    That is convex in m, so the m loop steps past the sizes over the limit
+    while they still fall, then counts each size until one is over the
+    limit: from there on it only rises. Each vector is counted once, at its
+    last nonzero entry, and the prefix it makes, with j + 2 the next free
+    position, is pushed while an entry can still follow. A only grows, and
+    every vector of size <= limit has A <= top (see :func:`_residue_bounds`),
+    so both prunes on ``top`` are exact.
+
+    The walk reads no ``caps``: the size bound implies them. A vector the m
+    loop counts has size <= limit, so its K is at most k_max and its A at
+    most top, and then n_j is at most caps[j - 1] by their definition. A
+    pushed prefix has A <= top with j*m + t*C(m, 2) >= m^2, and top <
+    (k_max + 1)^2, so its m is at most k_max and within the cap as well.
     """
     _check_args(t, limit)
     return _walk(t, limit, _residue_bounds(t, limit))
 
 
 def _walk(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
-    _, top, caps, _, _, _ = bounds
-    positions = len(caps)
+    top, positions = bounds[1], len(bounds[2])
     coeffs = [0] * (limit + 1)
     coeffs[0] = 1
     rise = t - 1
@@ -200,26 +205,25 @@ def _walk(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
         for j in range(p, positions + 1):
             if a + j > top:
                 break
-            cap = caps[j - 1]
-            # sizes: step from m - 1 to m is (j - k) + (t - 1)*(m - 1)
-            size, step = base, j - k
-            for _ in range(cap):
+            # sizes: n_j = 1 gives base + j - k; the step from m to m + 1 is
+            # (j - k) + (t - 1)*m
+            size, step = base + j - k, j - k + rise
+            while size > limit and step < 0:  # over the limit, still falling
                 size += step
                 step += rise
-                if size <= limit:
-                    coeffs[size] += 1
-                elif step > 0:
-                    break
-            # prefixes: g = j*m + t*C(m, 2) grows by j + t*(m - 1)
+            while size <= limit:
+                coeffs[size] += 1
+                size += step
+                step += rise
+            # prefixes: A grows by g = j*m + t*C(m, 2), whose step from m to
+            # m + 1 is j + t*m; pushed while A leaves room for position j + 2
             if j + 2 <= positions:
-                room = top - a - j - 2  # g <= room leaves room for position j + 2
-                g, grow = 0, j
-                for m in range(1, cap + 1):
-                    g += grow
-                    if g > room:
-                        break
+                ceiling, grown, grow, km = top - j - 2, a + j, j + t, k + 1
+                while grown <= ceiling:
+                    stack.append((j + 2, km, grown))
+                    grown += grow
                     grow += t
-                    stack.append((j + 2, k + m, a + g))
+                    km += 1
     return _trusted_series(tuple(coeffs), t)
 
 
@@ -368,7 +372,9 @@ def _residue_bounds(t: int, limit: int) -> _Bounds:
     nonzero n_i puts i in the beta-set, whose elements are first-column
     hook lengths, and no hook of a partition of n (at most
     lambda_1 + l - 1 <= n) exceeds n: so positions past ``limit`` only
-    hold 0, and ``caps`` has min(t - 1, limit) entries. ``nodes``
+    hold 0, and ``caps`` has min(t - 1, limit) entries. Only the DP and the
+    estimates read the caps; the walk reads their count, as the size bound
+    implies them (see :func:`distinct_core_series_walk`). ``nodes``
     counts the tuples within the caps with no two adjacent entries nonzero:
     it bounds the vectors the walk counts. The count grows like a Fibonacci
     number, so it stops once it reaches 2^max(1000, bound), where ``bound``

@@ -677,3 +677,31 @@ class TestArgvEdges:
             assert "error:" in err.getvalue(), argv
         else:
             assert out.getvalue(), argv
+
+
+class TestOneProcess:
+    def test_calls_in_one_process_share_the_parser_and_nothing_else(self, capsys):
+        # the parser is built once; a refusal, a stats call and a series call
+        # after it each exit and print as they would alone
+        parser = cli._build_parser()
+        expect_usage_error(["series", "--t", "10000", "--limit", "1000000"])
+        out = capsys.readouterr()
+        assert out.out == "" and "out of reach" in out.err
+        code, out, err = run_ok(capsys, ["stats", "--t", "5"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "count=8",
+            "largest_size=5",
+            "maximizer_count=1",
+            "maximizers=[[3, 2]]",
+            "total_size=22",
+            "average_size=11/4",
+        ]
+        code, out, err = run_ok(capsys, ["series", "--t", "3", "--limit", "9", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"t": 3, "limit": 9, "coeffs": [1, 1, 1, 0, 1, 0, 1, 0, 0, 1]}
+        assert cli._build_parser() is parser
+        # no option of an earlier call leaks into a later one's namespace
+        assert vars(parser.parse_args(["stats", "--t", "5"])).keys() == {
+            "command", "t", "format", "handler"
+        }

@@ -110,6 +110,19 @@ maximizer_parts_shifted = source_mutant(
     consecutive, "maximizers", "range(t - k, t - 2 * k, -1)", "range(t - k + 1, t - 2 * k + 1, -1)"
 )
 
+# the eq2 walk's last entry: its count stops short of a size equal to the
+# limit, or it does not step past the sizes over the limit that still fall;
+# its prefixes: the one whose A leaves exactly room for position j + 2 dropped
+walk_count_short_of_limit = source_mutant(
+    series, "_walk", "while size <= limit:", "while size < limit:"
+)
+walk_no_falling_stretch = source_mutant(
+    series, "_walk", "while size > limit and step < 0:", "while False:"
+)
+walk_push_short_of_room = source_mutant(
+    series, "_walk", "while grown <= ceiling:", "while grown < ceiling:"
+)
+
 # moduli clamped to the size budget instead of one above it: a modulus of
 # max_size + 1 or more then turns the largest candidate away
 walk_clamps_at_budget = source_mutant(
@@ -180,6 +193,18 @@ CASES = {
     ),
     "dp-shear-rows": (
         dp_shear_rows_short, check("genfun.dfs_vs_oracle", 5, 20), "dp route"
+    ),
+    "eq2-walk-count": (
+        walk_count_short_of_limit, check("genfun.dfs_vs_oracle", 5, 20), "walk route"
+    ),
+    # at t = 4 and limit 65 the size of (7, 0, 1) is 66 and that of (7, 0, 2) 65
+    "eq2-walk-falling": (
+        walk_no_falling_stretch, check("genfun.dfs_vs_closed", None, 65), "walk route"
+    ),
+    # the prefix dropped loses only vectors with K = k_max and A = top: at t = 4
+    # and limit 12, (3, 0, 1), pushed from (3,) with A = 15 = top - 3
+    "eq2-walk-push": (
+        walk_push_short_of_room, check("genfun.dfs_vs_closed", None, 12), "walk route"
     ),
     "psi-past-20": (psi_plus_fib_past_20, check("tt1.total_size", 20), "closed form"),
     "ladder-seed": (ladder_seed_one, check("tt1.table", 8), "recurrence/definitional mismatch"),

@@ -152,6 +152,19 @@ class TestEq2Routes:
         assert walk.coeffs == tuple(census)
         assert series.distinct_core_series_dp(t, limit) == walk
 
+    @pytest.mark.parametrize(
+        ("t", "limit", "partner"),
+        [
+            (3, 20000, series.distinct_core_series_closed),
+            (4, 12000, series.distinct_core_series_closed),
+            (5, 4000, series.distinct_core_series_dp),
+        ],
+    )
+    def test_walk_at_the_top_of_long_series(self, t, limit, partner):
+        # the largest limits perfbench's series-deep asks at t = 3, 4 and 5,
+        # where the last entry's loop runs longest
+        assert partner(t, limit) == series.distinct_core_series_walk(t, limit)
+
     @pytest.mark.parametrize("route", sorted(series.EQ2_ROUTES))
     def test_trusted_routes_write_exact_counts(self, route):
         # what CoefficientSeries would validate, on the results that skip it;
