@@ -11,7 +11,9 @@ admits under ``series.SERIES_BUDGET_S``, on the picked route (one run,
 unscaled, as a caller waits for it), with the call's minor page faults and
 the growth of the process's max RSS over the call (``resource.getrusage``
 deltas; the growth reads 0 where an earlier call already reached that
-peak), and, on the DP, the bytes of the packed state it built. One corner,
+peak). Each corner also gives the request's ``state_bytes``, the size of
+the A-major state that the DP's estimate prices, next to its ``dp_bytes``,
+the size of the sheared state the DP builds, and their ratio. One corner,
 t = 1000, has t far above L: at its positions past 95 (of 860) only
 n = 1 lands in a kept slot of the DP's state, so each is one shift, one
 add and one mask, each making a fresh int of the whole state.
@@ -75,15 +77,9 @@ def best_of(route, t: int, limit: int) -> float:
     return min(times)
 
 
-def dp_state_bytes(t: int, limit: int) -> int:
-    """The bytes of the packed state the DP builds for (t, limit)."""
-    bounds = series._residue_bounds(t, limit)
-    _, c, h, r = series._dp_layout(t, limit, bounds)
-    return (h + c + 1) * r * bounds[4]
-
-
 def corner_point(t: int) -> dict:
     limit = series._largest_admitted(t)
+    request = series._residue_bounds(t, limit)
     est = series.eq2_costs(t, limit)
     picked = min(est, key=est.get)
     before = resource.getrusage(resource.RUSAGE_SELF)
@@ -99,7 +95,9 @@ def corner_point(t: int) -> dict:
         "measured_s": measured,
         "minor_faults": after.ru_minflt - before.ru_minflt,
         "max_rss_growth_mb": (after.ru_maxrss - before.ru_maxrss) / 1024,  # ru_maxrss is in KiB
-        "dp_state_bytes": dp_state_bytes(t, limit) if picked == "dp" else None,
+        "state_bytes": request.state_bytes,
+        "dp_bytes": request.dp_bytes,
+        "state_over_dp_bytes": request.state_bytes / request.dp_bytes,
     }
     print(f"corner {point}", file=sys.stderr)
     return point

@@ -36,7 +36,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import count
 from math import ceil, comb, inf, isqrt, log, pi, sqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .cores import _walk_cores, enumerate_partitions, is_core
 from .partitions import _require_ints, _shown
@@ -60,14 +60,33 @@ DP_STATE_BYTES_CAP = 1 << 25
 # script's corners, where SERIES_BUDGET_S cuts off. They are not scaled by the
 # script's median_measured_over_estimate (0.35-0.50 for the DP there), which
 # would admit limits whose calls take about the whole budget. The estimate
-# still reads the A-major state's size, an upper bound on the sheared state
-# the DP builds (_dp_layout).
+# and DP_STATE_BYTES_CAP still read a request's state_bytes, the size of
+# the A-major state, an upper bound on the sheared state the DP builds
+# (dp_bytes, 1.3-1.4x smaller at the corners); pricing dp_bytes instead
+# means refitting these constants.
 WALK_NODE_S = 0.15e-6  # per node of the walk's node bound
 DP_WORD_S = 7.0e-9  # per 64-bit word of state a big-int shift, add or mask reads
 DP_OP_S = 1.0e-6  # per big-int operation, on top of its words
 
-# (k_max, top, caps, nodes, width, state_bytes): one eq2 request, derived once
-_Bounds = tuple[int, int, list[int], int, int, int]
+
+class _Eq2Request(NamedTuple):
+    """One eq2 request, derived once for both routes and :func:`eq2_costs`
+    by :func:`_residue_bounds`, whose docstring defines each field."""
+
+    t: int
+    limit: int
+    k_max: int
+    top: int
+    caps: tuple[int, ...]
+    nodes: int
+    width: int
+    state_bytes: int
+    passes: int
+    alpha: int
+    c: int
+    h: int
+    r: int
+    dp_bytes: int
 
 
 @dataclass(frozen=True)
@@ -129,12 +148,11 @@ def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
     Runs whichever eq2 route :func:`eq2_costs` estimates cheaper; both are
     exact. Raises ValueError when that estimate exceeds
     :data:`SERIES_BUDGET_S`; call a route directly to run past it. The
-    request is derived once, by :func:`_residue_bounds`, for the estimate
-    and the route.
+    request is checked and derived once, by :func:`_residue_bounds`, for
+    the estimate and the route.
     """
-    _check_args(t, limit)
-    bounds = _residue_bounds(t, limit)
-    costs = _costs(bounds)
+    request = _residue_bounds(t, limit)
+    costs = _costs(request)
     route = min(costs, key=costs.get)
     if costs[route] > SERIES_BUDGET_S:
         if costs[route] == inf:
@@ -148,7 +166,7 @@ def distinct_core_series(t: int, limit: int) -> CoefficientSeries:
             f"eq2 at t={_shown(t)}, limit={_shown(limit)} is {cost}; the largest limit "
             f"admitted at t={_shown(t)} is {_largest_admitted(t)}"
         )
-    return _BOUNDED_ROUTES[route](t, limit, bounds)
+    return _walk(request) if route == "walk" else _dp(request)
 
 
 def _largest_admitted(t: int) -> int:
@@ -189,12 +207,11 @@ def distinct_core_series_walk(t: int, limit: int) -> CoefficientSeries:
     pushed prefix has A <= top with j*m + t*C(m, 2) >= m^2, and top <
     (k_max + 1)^2, so its m is at most k_max and within the cap as well.
     """
-    _check_args(t, limit)
-    return _walk(t, limit, _residue_bounds(t, limit))
+    return _walk(_residue_bounds(t, limit))
 
 
-def _walk(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
-    top, positions = bounds[1], len(bounds[2])
+def _walk(request: _Eq2Request) -> CoefficientSeries:
+    t, limit, top, positions = request.t, request.limit, request.top, len(request.caps)
     coeffs = [0] * (limit + 1)
     coeffs[0] = 1
     rise = t - 1
@@ -240,8 +257,8 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
     bytes (Kronecker substitution). Setting n_i = n is then one shift of
     that int by ((i - alpha)*n + t*C(n, 2))*R + n slots, a right shift at
     some positions i < alpha, and one low-bits mask per position keeps the
-    rows B <= H. :func:`_dp_layout` picks alpha = k_max // 2, and each bound
-    is exact:
+    rows B <= H. :func:`_residue_bounds` picks alpha = k_max // 2, and
+    each bound is exact:
 
     * c: B >= K^2 - alpha*K >= -floor(alpha^2 / 4) = -c, so no real term
       has a negative slot, and a right shift drops none.
@@ -254,10 +271,13 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
       then has K < R and its own slot, and every other term, or carry,
       lands past the cut.
     * width: a kept partial vector has size B + alpha*K - C(K, 2) <= H +
-      C(alpha + 1, 2). The shear is taken only where that is <= top, so
-      the p(top) bound of ``width`` covers every slot, and only where its
-      state is smaller than the unsheared one; otherwise alpha = 0, c = 0,
-      H = top and R = k_max + 1, the A-major layout.
+      C(alpha + 1, 2), which is <= top at every limit up to
+      :data:`SERIES_LIMIT_CAP`, so the p(top) bound of ``width`` covers
+      every slot. ``test_shear_fits_width_and_priced_state`` in
+      ``tests/test_series.py`` proves it for every k_max and t that the cap
+      admits, with a state no larger than the A-major one that
+      ``state_bytes`` prices. Up to limit 2, alpha = 0, and the layout is
+      the A-major one: c = 0, H = top and R = k_max + 1.
 
     An entry whose step of B exceeds H + c lands past the cut from every
     kept slot, so it is skipped. That step is convex in n and at most H + c
@@ -271,41 +291,21 @@ def distinct_core_series_dp(t: int, limit: int) -> CoefficientSeries:
     lanes, filled with ``width`` strided byte copies. Slots wider than 8
     bytes are decoded one ``int.from_bytes`` each.
     """
-    _check_args(t, limit)
-    return _dp(t, limit, _residue_bounds(t, limit))
+    return _dp(_residue_bounds(t, limit))
 
 
-def _dp_layout(t: int, limit: int, bounds: _Bounds) -> tuple[int, int, int, int]:
-    """``(alpha, c, H, R)``, the layout of :func:`_dp`'s state, in O(1)
-    where t >= alpha and in O(alpha) elsewhere."""
-    k_max, top, caps, _, _, _ = bounds
-    alpha = k_max // 2
-    c = alpha * alpha // 4
-    m = min(alpha - 1, len(caps))  # positions 1..m are those below alpha
-    if t >= alpha:  # D_j = alpha - j, at n = 1
-        d = m * alpha - m * (m + 1) // 2
-    else:  # D_j at n = ceil((alpha - j) / t), where the fall stops growing
-        falls = (((alpha - j - 1) // t + 1, alpha - j) for j in range(1, m + 1))
-        d = sum(n * fall - t * comb(n, 2) for n, fall in falls)
-    h = limit + d
-    r = max(k_max + 1, (alpha + isqrt(alpha * alpha + 4 * h)) // 2 + 1)
-    if h + alpha * (alpha + 1) // 2 > top or (h + c + 1) * r >= (top + 1) * (k_max + 1):
-        return 0, 0, top, k_max + 1
-    return alpha, c, h, r
-
-
-def _dp(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
-    k_max, top, caps, _, width, state_bytes = bounds
-    if state_bytes > DP_STATE_BYTES_CAP:
-        request = f"t={_shown(t)}, limit={_shown(limit)}"
-        raise ValueError(f"residue DP state for {request} exceeds {DP_STATE_BYTES_CAP} bytes")
-    alpha, c, h, r = _dp_layout(t, limit, bounds)
+def _dp(request: _Eq2Request) -> CoefficientSeries:
+    t, limit, width, c, r = request.t, request.limit, request.width, request.c, request.r
+    alpha = request.alpha
+    if request.state_bytes > DP_STATE_BYTES_CAP:
+        shown = f"t={_shown(t)}, limit={_shown(limit)}"
+        raise ValueError(f"residue DP state for {shown} exceeds {DP_STATE_BYTES_CAP} bytes")
     bits = 8 * width
-    rows = h + c + 1
-    mask = (1 << rows * r * bits) - 1
+    rows = request.h + c + 1
+    mask = (1 << 8 * request.dp_bytes) - 1
     zero, nonzero = 1 << c * r * bits, 0  # last entry zero (or no entry yet) / nonzero
     # lean = i - alpha at position i; cap >= 1, as i <= limit <= top
-    for lean, cap in enumerate(caps, start=1 - alpha):
+    for lean, cap in enumerate(request.caps, start=1 - alpha):
         shift = (lean * r + 1) * bits
         grown = zero << shift if shift >= 0 else zero >> -shift
         step = lean  # B's step of n_i = n: lean*n + t*C(n, 2)
@@ -317,9 +317,9 @@ def _dp(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
             grown += zero << shift if shift >= 0 else zero >> -shift
         zero, nonzero = zero + nonzero, grown & mask
     # column K, from its least size C(K + 1, 2) on, adds to sizes up to limit
-    slots = (zero + nonzero).to_bytes(rows * r * width, "little")
-    grid = memoryview(slots).cast("B", [rows * r, width])  # one slot a row
-    columns = ((comb(k + 1, 2), (k * (k - alpha) + c) * r + k) for k in range(k_max + 1))
+    slots = (zero + nonzero).to_bytes(request.dp_bytes, "little")
+    grid = memoryview(slots).cast("B", [len(slots) // width, width])  # one slot a row
+    columns = ((comb(k + 1, 2), (k * (k - alpha) + c) * r + k) for k in range(request.k_max + 1))
     packed = sum(
         int.from_bytes(grid[s : s + (limit + 1 - least) * r : r], "little") << least * bits
         for least, s in columns
@@ -337,7 +337,6 @@ def _dp(t: int, limit: int, bounds: _Bounds) -> CoefficientSeries:
 
 
 EQ2_ROUTES = {"walk": distinct_core_series_walk, "dp": distinct_core_series_dp}
-_BOUNDED_ROUTES = {"walk": _walk, "dp": _dp}  # each route on bounds already derived
 
 
 def eq2_costs(t: int, limit: int) -> dict[str, float]:
@@ -349,21 +348,38 @@ def eq2_costs(t: int, limit: int) -> dict[str, float]:
     masks and adds once, each on an int of its whole state. The DP's
     estimate is infinite where it would refuse.
     """
-    _check_args(t, limit)
     return _costs(_residue_bounds(t, limit))
 
 
-def _costs(bounds: _Bounds) -> dict[str, float]:
-    _, _, caps, nodes, _, state_bytes = bounds
-    passes = sum(2 * cap + 2 for cap in caps)
-    dp_s = passes * (DP_OP_S + DP_WORD_S * state_bytes / 8)
-    walk_s = WALK_NODE_S * nodes if nodes < 1 << 1000 else inf  # float() overflows near 2**1024
-    return {"walk": walk_s, "dp": dp_s if state_bytes <= DP_STATE_BYTES_CAP else inf}
+def _costs(request: _Eq2Request) -> dict[str, float]:
+    dp_s = request.passes * (DP_OP_S + DP_WORD_S * request.state_bytes / 8)
+    # float() overflows near 2**1024
+    walk_s = WALK_NODE_S * request.nodes if request.nodes < 1 << 1000 else inf
+    return {"walk": walk_s, "dp": dp_s if request.state_bytes <= DP_STATE_BYTES_CAP else inf}
 
 
-def _residue_bounds(t: int, limit: int) -> _Bounds:
-    """``(k_max, top, caps, nodes, width, state_bytes)``: the one derivation
-    of an eq2 request, for both routes and :func:`eq2_costs`.
+def _residue_bounds(t: int, limit: int) -> _Eq2Request:
+    """The one derivation of an eq2 request, for both routes and
+    :func:`eq2_costs`: (t, limit) is checked here, once, and each field of
+    the :class:`_Eq2Request` is derived from it.
+
+    * ``t`` is the hook length the counted partitions avoid.
+    * ``limit`` is the largest size counted.
+    * ``k_max`` is the most parts a distinct-part partition of size <= limit has.
+    * ``top`` bounds A = size + C(K, 2) over the vectors of size <= limit.
+    * ``caps`` bounds each entry n_i, one cap per position that can be nonzero.
+    * ``nodes`` bounds the vectors the walk counts, until it stops at a ceiling.
+    * ``width`` is the bytes of one slot of the DP's state.
+    * ``state_bytes`` is the size of the A-major DP state, which the DP's
+      estimate prices and :data:`DP_STATE_BYTES_CAP` caps.
+    * ``passes`` counts the big-int operations of the DP's estimate,
+      2*cap + 2 at each position.
+    * ``alpha`` is the shear of the DP's rows, B = A - alpha*K.
+    * ``c`` is the number of rows the DP keeps below B = 0.
+    * ``h`` is H, the highest row the DP keeps.
+    * ``r`` is R, the slots in one row of the DP's state.
+    * ``dp_bytes`` is the size of the state the DP builds, (H + c + 1)*R
+      slots of ``width`` bytes.
 
     A partition with K distinct parts has size >= K(K+1)/2, so K <= k_max.
     Its A = size + C(K, 2) is then at most top = limit + C(k_max, 2), which
@@ -392,8 +408,11 @@ def _residue_bounds(t: int, limit: int) -> _Bounds:
     p(top) < exp(pi * sqrt(2 * top / 3)) (Apostol, *Introduction to
     Analytic Number Theory*, ch. 14). ``width`` is the whole bytes for the
     smaller bound, plus one bit of margin for the float's rounding, and the
-    DP's state of top + 1 rows of k_max + 1 slots has ``state_bytes``.
+    A-major state of top + 1 rows of k_max + 1 slots has ``state_bytes``.
+    The layout (alpha, c, H, R) is derived in O(min(t, alpha)) steps;
+    :func:`distinct_core_series_dp` proves each bound.
     """
+    _check_args(t, limit)
     k_max = (isqrt(8 * limit + 1) - 1) // 2
     top = limit + comb(k_max, 2)
     bound = ceil(pi * sqrt(2 * top / 3) / log(2)) + 1  # bits of p(top), with margin
@@ -409,7 +428,20 @@ def _residue_bounds(t: int, limit: int) -> _Bounds:
             zero, nonzero = zero + nonzero, zero * n
     nodes = zero + nonzero
     width = (min(nodes.bit_length(), bound) + 7) // 8
-    return k_max, top, caps, nodes, width, (top + 1) * (k_max + 1) * width
+    passes = 2 * (sum(caps) + len(caps))
+    alpha = k_max // 2
+    c = alpha * alpha // 4
+    # H = limit + D, D the sum of D_j over the positions j < alpha: as
+    # alpha - 1 <= limit, they are 1..min(t, alpha) - 1
+    if t >= alpha:  # D_j = alpha - j, at n = 1
+        h = limit + comb(alpha, 2)
+    else:  # D_j at n = ceil((alpha - j) / t), where the fall stops growing
+        falls = (((alpha - j - 1) // t + 1, alpha - j) for j in range(1, t))
+        h = limit + sum(n * fall - t * comb(n, 2) for n, fall in falls)
+    r = max(k_max + 1, (alpha + isqrt(alpha * alpha + 4 * h)) // 2 + 1)
+    return _Eq2Request(t, limit, k_max, top, tuple(caps), nodes, width,
+                       (top + 1) * (k_max + 1) * width, passes, alpha, c, h, r,
+                       (h + c + 1) * r * width)
 
 
 def distinct_core_series_closed(t: int, limit: int) -> CoefficientSeries:

@@ -5,8 +5,8 @@ and reads the population cache's statistics, and the verify-all workload
 requires every check in ``perfbench/workloads.py``'s ``VERIFY_CHECKS`` to
 pass; a rename or a deleted cache would otherwise break only the benchmark.
 ``bench/eq2_crossover.py``, which refits the eq2 cost constants, runs in no
-test, so the names it imports from perfbench and calls in ``series`` are
-checked here too. Last, the benchmark's own self-test runs every workload at
+test, so the names it imports from perfbench and calls in ``series``, and
+the fields it reads of an eq2 request's record, are checked here too. Last, the benchmark's own self-test runs every workload at
 a tiny size, plain and traced, against this checkout, so a change that would
 make a workload fail or answer wrongly fails here first. It runs in a
 subprocess with ``PYTHONDONTWRITEBYTECODE=1``, and the other tests only read
@@ -88,6 +88,24 @@ def test_eq2_crossover_names_exist():
     }
     for name in called | {"EQ2_ROUTES", "eq2_costs", "_largest_admitted", "SERIES_BUDGET_S"}:
         assert hasattr(series, name), f"series.{name}"
+    # the fields it reads of each name bound to series._residue_bounds(...)
+    records = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func) == "series._residue_bounds"
+        for target in node.targets
+    }
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in records
+    }
+    assert {"state_bytes", "dp_bytes"} <= read
+    fields = series._residue_bounds(2, 10)._fields
+    for name in read:
+        assert name in fields, f"series._residue_bounds(...).{name}"
 
 
 def test_benchmark_self_test_passes():

@@ -69,11 +69,15 @@ def sparse_walk_steps_by_one(monkeypatch):
 
 
 def dp_one_byte_slots(monkeypatch):
-    bounds = series._residue_bounds
+    derive = series._residue_bounds
 
     def narrow(t, limit):
-        k_max, top, caps, nodes, _, _ = bounds(t, limit)
-        return k_max, top, caps, nodes, 1, (top + 1) * (k_max + 1)
+        request = derive(t, limit)
+        return request._replace(
+            width=1,
+            state_bytes=request.state_bytes // request.width,
+            dp_bytes=request.dp_bytes // request.width,
+        )
 
     monkeypatch.setattr(series, "_residue_bounds", narrow)
 
@@ -95,7 +99,7 @@ dp_column_without_offset = source_mutant(series, "_dp", "* r + k) for", "* r) fo
 # the DP's shear: the rows below B = 0 one or more short of -min(K^2 - alpha*K),
 # so a right shift drops some real terms
 dp_shear_rows_short = source_mutant(
-    series, "_dp_layout", "c = alpha * alpha // 4", "c = (alpha - 1) ** 2 // 4"
+    series, "_residue_bounds", "c = alpha * alpha // 4", "c = (alpha - 1) ** 2 // 4"
 )
 # every ladder quantity seeded 1 at t = 1 instead of 0
 ladder_seed_one = source_mutant(

@@ -1,7 +1,8 @@
 import re
 import time
-from itertools import count
-from math import inf
+from itertools import accumulate, count
+from math import comb, inf, isqrt
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -215,11 +216,11 @@ class TestEq2Routes:
         # slot by slot. Past t > limit no hook can be t, so the series is
         # q(n), the coefficients of prod(1 + x^k), here by a knapsack.
         for t, limit, width in [(5, 10, 1), (6, 1400, 2), (16, 80, 3)]:
-            assert series._residue_bounds(t, limit)[4] == width
+            assert series._residue_bounds(t, limit).width == width
             dp = series.distinct_core_series_dp(t, limit)
             assert dp == series.distinct_core_series_walk(t, limit), (t, limit)
         for t, limit, width in [(1000, 150, 8), (1000, 200, 10)]:
-            assert series._residue_bounds(t, limit)[4] == width
+            assert series._residue_bounds(t, limit).width == width
             q = distinct_part_counts(limit)
             assert series.distinct_core_series_dp(t, limit).coeffs == tuple(q), (t, limit)
 
@@ -228,8 +229,8 @@ class TestEq2Routes:
         # every position i < t is below alpha, so each n_i = 1 is a right
         # shift, and the entries there lower B by up to D = H - limit > 0,
         # summed from each position's best n (> 1 here, as t < alpha)
-        alpha, _, h, _ = series._dp_layout(t, limit, series._residue_bounds(t, limit))
-        assert t < alpha and h > limit
+        request = series._residue_bounds(t, limit)
+        assert t < request.alpha and request.h > limit
         walk = series.distinct_core_series_walk(t, limit)
         assert walk.coeffs == walk_census(t, limit)
         assert series.distinct_core_series_dp(t, limit) == walk
@@ -238,21 +239,24 @@ class TestEq2Routes:
     def test_unsheared_layout_at_the_smallest_limits(self, t):
         # up to limit 2, k_max <= 1 and alpha = 0: the A-major layout
         for limit in range(3):
-            bounds = series._residue_bounds(t, limit)
-            k_max, top = bounds[:2]
-            assert series._dp_layout(t, limit, bounds) == (0, 0, top, k_max + 1)
+            request = series._residue_bounds(t, limit)
+            layout = (request.alpha, request.c, request.h, request.r)
+            assert layout == (0, 0, request.top, request.k_max + 1)
+            assert request.dp_bytes == request.state_bytes
             walk = series.distinct_core_series_walk(t, limit)
             assert walk.coeffs == walk_census(t, limit)
             assert series.distinct_core_series_dp(t, limit) == walk
 
     @pytest.mark.parametrize(("t", "limit"), [(3, 3000), (6, 1400), (16, 80), (1000, 200)])
-    def test_unsheared_layout_where_the_shear_pays(self, monkeypatch, t, limit):
-        # the fallback, alpha = 0, is the A-major layout: forced where the
+    def test_unsheared_layout_where_the_shear_pays(self, t, limit):
+        # alpha = 0 is the A-major layout, of state_bytes: forced where the
         # shear is taken, it still gives the walk's series (q(n) past t > limit)
-        bounds = series._residue_bounds(t, limit)
-        assert series._dp_layout(t, limit, bounds)[0] > 1
-        monkeypatch.setattr(series, "_dp_layout", lambda t, limit, b: (0, 0, b[1], b[0] + 1))
-        dp = series.distinct_core_series_dp(t, limit)
+        request = series._residue_bounds(t, limit)
+        assert request.alpha > 1
+        unsheared = request._replace(
+            alpha=0, c=0, h=request.top, r=request.k_max + 1, dp_bytes=request.state_bytes
+        )
+        dp = series._dp(unsheared)
         if t > limit:
             assert dp.coeffs == tuple(distinct_part_counts(limit))
         else:
@@ -262,30 +266,62 @@ class TestEq2Routes:
     def test_sheared_slots_wider_than_eight_bytes(self, limit, width):
         # t > limit: the series is q(n); the shear's right shifts and its
         # D > 0 apply to slots decoded one int.from_bytes each
-        bounds = series._residue_bounds(1000, limit)
-        alpha, _, h, _ = series._dp_layout(1000, limit, bounds)
-        assert bounds[4] == width and alpha > 1 and h > limit
+        request = series._residue_bounds(1000, limit)
+        assert request.width == width and request.alpha > 1 and request.h > limit
         q = distinct_part_counts(limit)
         assert series.distinct_core_series_dp(1000, limit).coeffs == tuple(q)
 
     def test_dp_layout_within_the_estimated_state(self):
         # DP_STATE_BYTES_CAP and the DP's estimate read the A-major size
         for t, limit in BOUNDS_GRID + BUDGET_CORNERS:
-            bounds = series._residue_bounds(t, limit)
-            k_max, top, _, _, width, state_bytes = bounds
-            alpha, c, h, r = series._dp_layout(t, limit, bounds)
-            assert (h + c + 1) * r * width <= state_bytes, (t, limit)
-            assert alpha in (0, k_max // 2), (t, limit)
+            request = series._residue_bounds(t, limit)
+            assert request.dp_bytes <= request.state_bytes, (t, limit)
+            assert request.alpha == request.k_max // 2, (t, limit)
+
+    def test_shear_fits_width_and_priced_state(self):
+        # The DP's layout is sheared at every request: for every k_max that
+        # the limit cap admits and every t, H + C(alpha + 1, 2) <= top, so
+        # width covers every kept slot, and the state the DP builds is at most
+        # the A-major state_bytes. As top - H = C(k_max, 2) - D, the first is
+        # D + C(alpha + 1, 2) <= C(k_max, 2), least room at k_max = 2*alpha.
+        # D depends on t only while t < alpha, and each D_j on the fall
+        # alpha - j alone, so D at such a t is a window of t - 1 prefix sums.
+        k_top = (isqrt(8 * series.SERIES_LIMIT_CAP + 1) - 1) // 2
+        a_top = k_top // 2
+        room = [comb(2 * a, 2) - comb(a + 1, 2) for a in range(a_top + 1)]
+        most = [comb(a, 2) for a in range(a_top + 1)]  # D at every t >= alpha
+        assert all(map(le, most, room))
+        sampled = [series._residue_bounds(t, limit) for t, limit in BOUNDS_GRID + BUDGET_CORNERS]
+        for request in sampled:
+            if request.t >= request.alpha:
+                assert request.h - request.limit == most[request.alpha], (request.t, request.limit)
+        for t in range(2, a_top):
+            # D_j at the fall f, at its best n = ceil(f / t)
+            falls = [(f, (f - 1) // t + 1) for f in range(1, a_top)]
+            prefix = [0, *accumulate(n * f - t * comb(n, 2) for f, n in falls)]
+            d = [0] * (t + 1) + [prefix[a - 1] - prefix[a - t] for a in range(t + 1, a_top + 1)]
+            assert all(map(le, d, room)), t
+            most = list(map(max, most, d))
+            for request in sampled:
+                if request.t == t < request.alpha:
+                    assert request.h - request.limit == d[request.alpha], (t, request.limit)
+        # the built slots (H + c + 1)*R, against the A-major (top + 1)*(k_max
+        # + 1), both of width bytes, grow with D, as H does and R with H, so
+        # the largest D over t bounds them at each limit
+        for k_max in range(k_top + 1):
+            alpha, c = k_max // 2, (k_max // 2) ** 2 // 4
+            for limit in (comb(k_max + 1, 2), min(comb(k_max + 2, 2) - 1, series.SERIES_LIMIT_CAP)):
+                h = limit + most[alpha]
+                r = max(k_max + 1, (alpha + isqrt(alpha * alpha + 4 * h)) // 2 + 1)
+                state = (limit + comb(k_max, 2) + 1) * (k_max + 1)
+                assert (h + c + 1) * r <= state, (k_max, limit)
 
     def test_dp_layout_meets_its_definitions(self):
         # each closed form against the bound it stands for, by search
         for t, limit in BOUNDS_GRID + BUDGET_CORNERS:
-            bounds = series._residue_bounds(t, limit)
-            k_max, top, caps, _, _, _ = bounds
-            alpha, c, h, r = series._dp_layout(t, limit, bounds)
-            if alpha == 0:
-                assert (c, h, r) == (0, top, k_max + 1), (t, limit)
-                continue
+            request = series._residue_bounds(t, limit)
+            k_max, top, caps = request.k_max, request.top, request.caps
+            alpha, c, h, r = request.alpha, request.c, request.h, request.r
             assert c == -min(k * (k - alpha) for k in range(k_max + 1)), (t, limit)
             # no end of size <= limit has B > limit, and only positions
             # j < alpha lower B, each by its best n
@@ -300,7 +336,7 @@ class TestEq2Routes:
             assert h + alpha * (alpha + 1) // 2 <= top, (t, limit)
 
     def test_dp_refuses_oversized_state(self):
-        state_bytes = series._residue_bounds(2, series.SERIES_LIMIT_CAP)[5]
+        state_bytes = series._residue_bounds(2, series.SERIES_LIMIT_CAP).state_bytes
         assert state_bytes > series.DP_STATE_BYTES_CAP
         with pytest.raises(ValueError):
             series.distinct_core_series_dp(2, series.SERIES_LIMIT_CAP)
