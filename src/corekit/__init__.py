@@ -5,6 +5,11 @@ for distinct-part t-cores, Fibonacci statistics of partitions avoiding two
 consecutive hook lengths, and a cross-verification suite tying it all
 together. Everything is exact integer/rational arithmetic on immutable
 values.
+
+The verification suite is the submodule ``corekit.verify`` (``run_suite``,
+``CheckReport``). It is loaded on first use, not by ``import corekit``:
+only ``corekit verify`` and the tests run it, so every other command
+starts without compiling or running it.
 """
 
 from .consecutive import (
@@ -57,12 +62,10 @@ from .series import (
     distinct_core_series_closed,
     iter_distinct_core_vectors,
 )
-from .verify import CheckReport, run_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckReport",
     "CoefficientSeries",
     "EMPTY",
     "Partition",
@@ -98,7 +101,6 @@ __all__ = [
     "olsson_stanton_max",
     "partition_of_beta",
     "residue_vector",
-    "run_suite",
     "separated_support",
     "sequence_table",
     "size_from_beta",

@@ -436,8 +436,10 @@ def _residue_bounds(t: int, limit: int) -> _Eq2Request:
     if t >= alpha:  # D_j = alpha - j, at n = 1
         h = limit + comb(alpha, 2)
     else:  # D_j at n = ceil((alpha - j) / t), where the fall stops growing
-        falls = (((alpha - j - 1) // t + 1, alpha - j) for j in range(1, t))
-        h = limit + sum(n * fall - t * comb(n, 2) for n, fall in falls)
+        h = limit
+        for fall in range(alpha - 1, alpha - t, -1):  # alpha - j, j = 1..t - 1
+            n = (fall - 1) // t + 1
+            h += n * fall - t * comb(n, 2)
     r = max(k_max + 1, (alpha + isqrt(alpha * alpha + 4 * h)) // 2 + 1)
     return _Eq2Request(t, limit, k_max, top, tuple(caps), nodes, width,
                        (top + 1) * (k_max + 1) * width, passes, alpha, c, h, r,

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -465,6 +466,22 @@ class TestVerifyCommand:
         code, out, _ = run_ok(capsys, argv)
         assert code == 0 and json.loads(out)["checks"][0]["params"] == {"limit": 2000}
 
+    def test_unknown_suite_is_a_usage_error(self, capsys):
+        # the library refuses the name before any check runs; the parser
+        # repeats no check of its own
+        expect_usage_error(["verify", "--suite", "junk"])
+        err = capsys.readouterr().err
+        assert "error: unknown suite 'junk'" in err
+        assert all(repr(name) in err for name in (*verify.SUITE_NAMES, "all"))
+
+    def test_help_names_every_suite(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "--help"])
+        assert excinfo.value.code == 0
+        suite_help = capsys.readouterr().out.rsplit("--suite SUITE", 1)[1].split("--t-max", 1)[0]
+        for name in (*verify.SUITE_NAMES, "all"):
+            assert re.search(rf"\b{name}\b", suite_help), name
+
 
 def test_module_entry_point():
     proc = subprocess.run(
@@ -475,6 +492,38 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "count=2" in proc.stdout
+
+
+# Which corekit modules a fresh interpreter has loaded: after the imports,
+# after the four commands that need no verification suite, after verify.
+STARTUP_PROBE = """
+import contextlib, io, sys
+import corekit, corekit.cli
+loaded = ["corekit.verify" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["series", "--t", "3", "--limit", "9"], ["enumerate", "--t1", "2", "--t2", "3"],
+                 ["stats", "--t", "3"], ["table", "--t-max", "3"]):
+        assert corekit.cli.main(argv) == 0, argv
+    loaded.append("corekit.verify" in sys.modules)
+    assert corekit.cli.main(["verify", "--suite", "tt1", "--t-max", "3"]) == 0
+loaded.append("corekit.verify" in sys.modules)
+print(loaded)
+"""
+
+
+def test_only_verify_loads_the_suite():
+    """``import corekit`` and every command but ``verify`` start without
+    compiling or running the verification suite. This process has loaded
+    it already, so one fresh interpreter runs the probe."""
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, True]"
 
 
 @pytest.mark.parametrize(

@@ -335,6 +335,28 @@ class TestEq2Routes:
             assert r == least, (t, limit)
             assert h + alpha * (alpha + 1) // 2 <= top, (t, limit)
 
+    def test_dp_layout_height_on_a_grid(self):
+        # H = limit + D, with D the sum of D_j = n*(alpha - j) - t*C(n, 2) at
+        # n = ceil((alpha - j) / t) over j = 1..min(t, alpha) - 1. D reads t
+        # and alpha = k_max // 2 only, so the first and last limit of each
+        # k_max reach every case of the grid t = 2..40, limit = 3..5000
+        limits = sorted(
+            limit
+            for k in range(1, 100)
+            for limit in (comb(k + 1, 2), min(comb(k + 2, 2) - 1, 5000))
+            if 3 <= limit <= 5000
+        )
+        below = 0
+        for t in range(2, 41):
+            for limit in limits:
+                request = series._residue_bounds(t, limit)
+                alpha = request.alpha
+                below += t < alpha
+                falls = [alpha - j for j in range(1, min(t, alpha))]
+                d = sum(n * f - t * comb(n, 2) for f in falls for n in [(f - 1) // t + 1])
+                assert request.h == limit + d, (t, limit)
+        assert below > 1000
+
     def test_dp_refuses_oversized_state(self):
         state_bytes = series._residue_bounds(2, series.SERIES_LIMIT_CAP).state_bytes
         assert state_bytes > series.DP_STATE_BYTES_CAP
